@@ -52,18 +52,43 @@ func TestUnionBasics(t *testing.T) {
 	}
 }
 
+// TestUnionIDCollision: a right sample whose ID is already in the result is
+// re-derived, and (A ∪ B) ∪ C with one ID in all three operands re-derives
+// until unseen, so the result stays valid while the first two IDs are
+// exactly the two-way union's.
 func TestUnionIDCollision(t *testing.T) {
 	a := mkDataset(t, "A", mkSample("same", nil, regSpec{"chr1", 0, 1, gdm.StrandNone, 1, "x"}))
 	b := mkDataset(t, "B", mkSample("same", nil, regSpec{"chr1", 5, 6, gdm.StrandNone, 2, "y"}))
-	out, err := Union(Config{MetaFirst: true}, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Samples[0].ID == out.Samples[1].ID {
-		t.Error("colliding IDs not re-derived")
-	}
-	if err := out.Validate(); err != nil {
-		t.Error(err)
+	c := mkDataset(t, "C", mkSample("same", nil, regSpec{"chr1", 9, 10, gdm.StrandNone, 3, "z"}))
+	derived := gdm.DeriveID("union", "same", "right")
+	for _, cfg := range allConfigs() {
+		ab, err := Union(cfg, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abc, err := Union(cfg, ab, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			out  *gdm.Dataset
+			want []string
+		}{
+			{ab, []string{"same", derived}},
+			{abc, []string{"same", derived, gdm.DeriveID("union", derived, "right")}},
+		} {
+			if err := tc.out.Validate(); err != nil {
+				t.Errorf("%s: %v", cfg.Mode, err)
+			}
+			if len(tc.out.Samples) != len(tc.want) {
+				t.Fatalf("%s: %d samples, want %d", cfg.Mode, len(tc.out.Samples), len(tc.want))
+			}
+			for i, s := range tc.out.Samples {
+				if s.ID != tc.want[i] {
+					t.Errorf("%s: %d-way sample %d ID = %q, want %q", cfg.Mode, len(tc.want), i, s.ID, tc.want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // operands. The result schema is the left operand's; right-operand regions
 // are re-laid-out onto it by attribute name (unmatched attributes become
 // null), realizing GDM schema interoperability. Right sample IDs are
-// re-derived when they would collide with a left ID.
+// re-derived by UnionID when they would collide with an ID already in the
+// result.
 func Union(cfg Config, left, right *gdm.Dataset) (*gdm.Dataset, error) {
 	schema, mapping := gdm.UnionSchemas(left.Schema, right.Schema)
 	out := gdm.NewDataset(left.Name, schema)
@@ -22,31 +23,47 @@ func Union(cfg Config, left, right *gdm.Dataset) (*gdm.Dataset, error) {
 	}
 	rightOut := make([]*gdm.Sample, len(right.Samples))
 	cfg.forEach(len(right.Samples), func(i int) {
-		src := right.Samples[i]
-		ns := &gdm.Sample{ID: src.ID, Meta: src.Meta.Clone(), Regions: make([]gdm.Region, len(src.Regions))}
-		for ri := range src.Regions {
-			r := src.Regions[ri]
-			vals := make([]gdm.Value, schema.Len())
-			for vi, srcIdx := range mapping {
-				if srcIdx >= 0 {
-					vals[vi] = r.Values[srcIdx]
-				} else {
-					vals[vi] = gdm.Null()
-				}
-			}
-			r.Values = vals
-			ns.Regions[ri] = r
-		}
-		rightOut[i] = ns
+		rightOut[i] = RelayoutSample(schema, mapping, right.Samples[i])
 	})
 	for _, ns := range rightOut {
-		if seen[ns.ID] {
-			ns.ID = gdm.DeriveID("union", ns.ID, "right")
-		}
-		seen[ns.ID] = true
+		ns.ID = UnionID(seen, ns.ID)
 		out.Samples = append(out.Samples, ns)
 	}
 	return out, nil
+}
+
+// RelayoutSample copies src onto a union's result schema: metadata cloned,
+// each region's values re-laid out by the gdm.UnionSchemas mapping, with
+// unmatched attributes null.
+func RelayoutSample(schema *gdm.Schema, mapping []int, src *gdm.Sample) *gdm.Sample {
+	ns := &gdm.Sample{ID: src.ID, Meta: src.Meta.Clone(), Regions: make([]gdm.Region, len(src.Regions))}
+	for ri := range src.Regions {
+		r := src.Regions[ri]
+		vals := make([]gdm.Value, schema.Len())
+		for vi, srcIdx := range mapping {
+			if srcIdx >= 0 {
+				vals[vi] = r.Values[srcIdx]
+			} else {
+				vals[vi] = gdm.Null()
+			}
+		}
+		r.Values = vals
+		ns.Regions[ri] = r
+	}
+	return ns
+}
+
+// UnionID is the union's rename rule for an appended sample: its own ID
+// when seen does not hold it, otherwise the ID re-derived from it, again
+// until the derived ID is unseen as well. The returned ID is marked seen.
+// Re-deriving until unseen keeps IDs unique even when one sample reaches a
+// result through three or more operands.
+func UnionID(seen map[string]bool, id string) string {
+	for seen[id] {
+		id = gdm.DeriveID("union", id, "right")
+	}
+	seen[id] = true
+	return id
 }
 
 // DifferenceArgs parametrizes DIFFERENCE.

@@ -465,8 +465,9 @@ type Federator struct {
 	// registered on R members collapse into replica groups, the query runs
 	// one leg per group (served by any one replica, with failover to the
 	// survivors when a member dies mid-query), and the merge dedups samples
-	// by identity so overlapping replicas can never double-count. Nil keeps
-	// the legacy layout: one leg per member, no failover.
+	// by identity so overlapping replicas can never double-count. Nil runs
+	// one singleton leg per member: the same dispatch, with nothing to fail
+	// over to and no dedup.
 	Placement *Placement
 	// Prober, when non-nil, supplies member health for replica ordering:
 	// legs try up members before suspect ones before down ones. Nil treats
@@ -496,8 +497,8 @@ func (f *Federator) BytesMoved() int64 {
 	return total
 }
 
-// Query runs the script on every member concurrently and merges the
-// results (sample union, in member order).
+// Query runs the script on every leg concurrently and merges the results
+// (sample union, in leg order; member order without a Placement).
 //
 // Under the default strict policy any member failure aborts the query:
 // the merged dataset is nil and the error carries the failure report.
@@ -522,7 +523,7 @@ func (f *Federator) QueryNaive(ctx context.Context, script, varName string, data
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var merged *gdm.Dataset
+	parts := make([]*gdm.Dataset, 0, len(f.Clients))
 	for _, c := range f.Clients {
 		cat := engine.MapCatalog{}
 		for _, name := range datasets {
@@ -540,15 +541,9 @@ func (f *Federator) QueryNaive(ctx context.Context, script, varName string, data
 		if err != nil {
 			return nil, err
 		}
-		if merged == nil {
-			merged = ds
-			continue
-		}
-		u, err := engine.Union(cfg, merged, ds)
-		if err != nil {
-			return nil, err
-		}
-		merged = u
+		parts = append(parts, ds)
 	}
-	return merged, nil
+	// Each node's result comes from its own freshly downloaded catalog, so
+	// the merge may adopt it.
+	return mergeLegs(parts), nil
 }

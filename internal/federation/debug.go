@@ -32,8 +32,8 @@ type MemberSnapshot struct {
 type MembershipSnapshot struct {
 	// Members lists every member with its probed health and breaker state.
 	Members []MemberSnapshot `json:"members"`
-	// Placement lists every replicated data unit (empty for the legacy
-	// single-copy layout).
+	// Placement lists every replicated data unit (empty without a
+	// Placement, when each member is its own single-copy leg).
 	Placement []PlacementSnapshot `json:"placement,omitempty"`
 	// Hedging reports whether hedged requests are on.
 	Hedging bool `json:"hedging"`
@@ -111,7 +111,7 @@ func MountFederation(mux *http.ServeMux, snap func() *MembershipSnapshot) {
 			}
 			b.WriteString("</table>")
 		} else {
-			b.WriteString("<p>no placement map: legacy single-copy layout (one leg per member, no failover)</p>")
+			b.WriteString("<p>no placement map: single-copy layout (one singleton leg per member, nothing to fail over to)</p>")
 		}
 		b.WriteString(obs.PageFooter)
 		obs.WriteHTML(w, b.String())

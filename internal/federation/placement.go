@@ -16,8 +16,9 @@ import (
 // Declared at Federator construction, the placement decides the query's leg
 // structure: members with identical unit sets collapse into one replica
 // group, and the coordinator runs one leg per group, failing over (and
-// hedging) within the group. A nil Placement is the legacy single-copy
-// layout: one leg per member, no failover.
+// hedging) within the group. A nil Placement declares a single-copy layout:
+// the same dispatch runs one singleton leg per member, so there is no
+// replica to fail over to.
 //
 // Placement is immutable after construction-time Register calls; reads
 // during queries need no locking.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,7 +19,9 @@ import (
 // duplicate work for a tail latency set by the second-slowest replica
 // instead of the slowest.
 type HedgePolicy struct {
-	// Enabled turns hedging on (replicated federation only).
+	// Enabled turns hedging on. Only legs with two or more replicas can
+	// hedge, so it needs a Placement that registers units on several
+	// members.
 	Enabled bool
 	// Delay is the floor (and the fallback while the latency window is
 	// still cold) for the hedge trigger; <= 0 means DefaultHedgeDelay.
@@ -113,15 +116,24 @@ func (f *Federator) rankReplicas(members []int) []int {
 	return out
 }
 
-// legGroups resolves the query's leg structure from the placement (nil
-// placement is handled by the caller's legacy path).
+// legGroups resolves the query's legs: the placement's replica groups, or,
+// with a nil Placement, one singleton group per member keyed by its index
+// ("0", "1", ...). Either way the query takes the same dispatch path. A
+// query with no legs — no members, or a placement registering no units —
+// is an error.
 func (f *Federator) legGroups() ([]ReplicaGroup, error) {
 	if err := f.Placement.Validate(len(f.Clients)); err != nil {
 		return nil, err
 	}
 	groups := f.Placement.Groups()
+	if f.Placement == nil {
+		for i := range f.Clients {
+			groups = append(groups, ReplicaGroup{Key: strconv.Itoa(i), Members: []int{i}})
+		}
+	}
 	if len(groups) == 0 {
-		return nil, fmt.Errorf("federation: placement registers no data units")
+		return nil, fmt.Errorf("federation: no query legs (%d members, %d placed data units)",
+			len(f.Clients), len(f.Placement.Units()))
 	}
 	return groups, nil
 }

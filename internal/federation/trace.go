@@ -40,9 +40,9 @@ func callTraceFrom(ctx context.Context) *callTrace {
 }
 
 // memberTrace carries one member's observability state through queryNode:
-// the MEMBER span under the federated root (nil when the query is
-// unprofiled), the console entry's member slot, and the coordinator span
-// reference remote executions hang under.
+// the MEMBER span under its LEG span (nil when the query is unprofiled),
+// the console entry's member slot, and the coordinator span reference
+// remote executions hang under.
 type memberTrace struct {
 	span  *obs.Span       // MEMBER span; nil when unprofiled
 	entry *obs.QueryEntry // console entry; nil-safe
@@ -119,11 +119,7 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 				tr.span.SetAttr("retries", strconv.Itoa(tr.state.Attempts))
 			}
 			if ds != nil {
-				rs := 0
-				for i := range ds.Samples {
-					rs += len(ds.Samples[i].Regions)
-				}
-				tr.span.SetOutput(len(ds.Samples), rs)
+				tr.span.SetOutput(len(ds.Samples), regionCount(ds))
 			}
 			tr.span.Finish(start)
 		}
@@ -214,12 +210,8 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 		return nil, &NodeFailure{Node: c.BaseURL, Stage: "fetch", Err: err}
 	}
 	if fetchSp != nil {
-		rs := 0
-		for i := range ds.Samples {
-			rs += len(ds.Samples[i].Regions)
-		}
 		fetchSp.SetInput(qr.Samples, qr.Regions)
-		fetchSp.SetOutput(len(ds.Samples), rs)
+		fetchSp.SetOutput(len(ds.Samples), regionCount(ds))
 		fetchSp.Finish(fetchStart)
 	}
 	tr.setStage("release")
@@ -227,12 +219,13 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 	return ds, nil
 }
 
-// run is the shared federated query path: fan the script out to every
-// member, track each leg in the query console, and merge the survivors.
-// With profile set it additionally builds the merged cross-node span tree —
-// a FEDERATED root over PLAN, one MEMBER subtree per node (remote execution
-// trees grafted in), and the final MERGE — which the EXPLAIN ANALYZE
-// renderer prints like any local profile.
+// run is the federated query path: fan the script out as one leg per
+// replica group (one singleton group per member without a Placement), track
+// each leg in the query console, and merge the surviving legs. With profile
+// set it additionally builds the merged cross-node span tree — a FEDERATED
+// root over PLAN, one LEG subtree per group holding a MEMBER subtree per
+// replica attempt (remote execution trees grafted in), and the final MERGE
+// — which the EXPLAIN ANALYZE renderer prints like any local profile.
 func (f *Federator) run(ctx context.Context, script, varName string, chunkSize int, profile bool) (*gdm.Dataset, *obs.Span, *PartialFailure, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -245,15 +238,13 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 	}
 	began := time.Now()
 
-	replicated := f.Placement != nil
-	var groups []ReplicaGroup
-	if replicated {
-		var gerr error
-		groups, gerr = f.legGroups()
-		if gerr != nil {
-			return nil, nil, nil, gerr
-		}
+	groups, err := f.legGroups()
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	// A placement adds two things to the one dispatch path: sample-identity
+	// dedup across overlapping replica groups, and the PLAN annotation.
+	replicated := f.Placement != nil
 
 	entry := f.queries().Begin(qid, "federator", varName, script)
 	nodes := make([]string, len(f.Clients))
@@ -282,12 +273,7 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 		planSp.Finish(planStart)
 	}
 
-	var results []legResult
-	if replicated {
-		results = f.runReplicated(ctx, script, varName, chunkSize, qid, entry, root, groups)
-	} else {
-		results = f.runLegacy(ctx, script, varName, chunkSize, qid, entry, root)
-	}
+	results := f.runReplicated(ctx, script, varName, chunkSize, qid, entry, root, groups)
 
 	finish := func(status obs.QueryStatus, err error) {
 		errText := ""
@@ -308,9 +294,8 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 		mergeSp.Mode = "fed"
 		root.AddChild(mergeSp)
 	}
-	var merged *gdm.Dataset
+	var parts []*gdm.Dataset
 	var report *PartialFailure
-	successes := 0
 	sIn, rIn := 0, 0
 	dedup := 0
 	var seen map[string]bool
@@ -322,16 +307,11 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 			if report == nil {
 				report = &PartialFailure{QueryID: qid}
 			}
-			if replicated {
-				report.Failed = append(report.Failed, r.legFailure())
-			} else {
-				report.Failed = append(report.Failed, r.fails...)
-			}
+			report.Failed = append(report.Failed, r.legFailure())
 			continue
 		}
-		successes++
 		ds := r.ds
-		if replicated {
+		if seen != nil {
 			// Overlapping replica groups may return the same sample from two
 			// legs; merge each identity exactly once so replication can never
 			// double-count.
@@ -339,27 +319,11 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 			ds, dropped = dedupFilter(seen, ds)
 			dedup += dropped
 		}
-		rs := 0
-		for i := range ds.Samples {
-			rs += len(ds.Samples[i].Regions)
-		}
 		sIn += len(ds.Samples)
-		rIn += rs
-		if merged == nil {
-			merged = ds
-			continue
-		}
-		u, err := engine.Union(engine.Config{MetaFirst: true}, merged, ds)
-		if err != nil {
-			if mergeSp != nil {
-				mergeSp.SetAttr("error", "merge")
-				mergeSp.Finish(mergeStart)
-			}
-			finish(obs.StatusFailed, err)
-			return nil, root, report, err
-		}
-		merged = u
+		rIn += regionCount(ds)
+		parts = append(parts, ds)
 	}
+	merged := mergeLegs(parts)
 	if dedup > 0 {
 		metricDedupSamples.Add(int64(dedup))
 	}
@@ -369,20 +333,12 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 			mergeSp.SetAttr("dedup", strconv.Itoa(dedup))
 		}
 		if merged != nil {
-			rs := 0
-			for i := range merged.Samples {
-				rs += len(merged.Samples[i].Regions)
-			}
-			mergeSp.SetOutput(len(merged.Samples), rs)
+			mergeSp.SetOutput(len(merged.Samples), regionCount(merged))
 		}
 		mergeSp.Finish(mergeStart)
 	}
 	if root != nil && merged != nil {
-		rs := 0
-		for i := range merged.Samples {
-			rs += len(merged.Samples[i].Regions)
-		}
-		root.SetOutput(len(merged.Samples), rs)
+		root.SetOutput(len(merged.Samples), regionCount(merged))
 	}
 
 	if report == nil {
@@ -395,15 +351,9 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 		finish(obs.StatusFailed, err)
 		return nil, root, report, err
 	}
-	if successes < f.Policy.quorum() {
-		var err error
-		if replicated {
-			err = fmt.Errorf("federated query below quorum (%d/%d legs answered): %w",
-				successes, len(results), report)
-		} else {
-			err = fmt.Errorf("federated query below quorum (%d/%d members answered): %w",
-				successes, len(f.Clients), report)
-		}
+	if len(parts) < f.Policy.quorum() {
+		err := fmt.Errorf("federated query below quorum (%d/%d legs answered): %w",
+			len(parts), len(results), report)
 		finish(obs.StatusFailed, err)
 		return nil, root, report, err
 	}
@@ -411,40 +361,62 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 	return merged, root, report, nil
 }
 
-// runLegacy is the single-copy fan-out: one leg per member, no failover. A
-// member failure costs its samples (degraded mode per the Policy).
-func (f *Federator) runLegacy(ctx context.Context, script, varName string, chunkSize int, qid string, entry *obs.QueryEntry, root *obs.Span) []legResult {
-	traces := make([]*memberTrace, len(f.Clients))
-	for i := range f.Clients {
-		traces[i] = &memberTrace{entry: entry, idx: i}
-		if root != nil {
-			memberSp := obs.NewSpan("MEMBER")
-			memberSp.Detail = fmt.Sprintf("MEMBER %d %s", i+1, f.Clients[i].BaseURL)
-			memberSp.Mode = "fed"
-			root.AddChild(memberSp)
-			traces[i].span = memberSp
-			traces[i].ref = fmt.Sprintf("%s/member%d", qid, i+1)
+// mergeLegs unions the surviving legs' results in leg order. The result
+// equals a left fold of engine.Union over parts: the first leg's name and
+// schema, later legs re-laid out onto that schema by attribute name only
+// when theirs differs, and colliding sample IDs re-derived by
+// engine.UnionID. Unlike the fold it copies no sample it can keep: every
+// leg dataset is decoded fresh per fetch and owned by the merge, so the
+// result adopts the legs' samples (renaming them in place) and parts must
+// not be used afterwards. A single leg is returned as is; no legs merge to
+// nil.
+func mergeLegs(parts []*gdm.Dataset) *gdm.Dataset {
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
+		return parts[0]
+	}
+	first := parts[0]
+	n := 0
+	for _, p := range parts {
+		n += len(p.Samples)
+	}
+	out := gdm.NewDataset(first.Name, first.Schema)
+	out.Samples = make([]*gdm.Sample, 0, n)
+	seen := make(map[string]bool, n)
+	for _, s := range first.Samples {
+		seen[s.ID] = true
+	}
+	out.Samples = append(out.Samples, first.Samples...)
+	for _, p := range parts[1:] {
+		var mapping []int // nil while the leg's schema is the result's
+		if !p.Schema.Equal(out.Schema) {
+			_, mapping = gdm.UnionSchemas(out.Schema, p.Schema)
+		}
+		for _, s := range p.Samples {
+			if mapping != nil {
+				s = engine.RelayoutSample(out.Schema, mapping, s)
+			}
+			s.ID = engine.UnionID(seen, s.ID)
+			out.Samples = append(out.Samples, s)
 		}
 	}
-	results := make([]legResult, len(f.Clients))
-	var wg sync.WaitGroup
-	for i, c := range f.Clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			ds, fail := queryNode(ctx, c, script, varName, chunkSize, traces[i])
-			results[i] = legResult{ds: ds}
-			if fail != nil {
-				results[i].fails = []NodeFailure{*fail}
-			}
-		}(i, c)
+	return out
+}
+
+// regionCount totals a dataset's regions.
+func regionCount(ds *gdm.Dataset) int {
+	n := 0
+	for i := range ds.Samples {
+		n += len(ds.Samples[i].Regions)
 	}
-	wg.Wait()
-	return results
+	return n
 }
 
 // runReplicated fans out one leg per replica group, each with failover and
-// (optionally) hedging inside the group.
+// (optionally) hedging inside the group; on a singleton group both are
+// no-ops.
 func (f *Federator) runReplicated(ctx context.Context, script, varName string, chunkSize int, qid string, entry *obs.QueryEntry, root *obs.Span, groups []ReplicaGroup) []legResult {
 	legs := make([]*legTrace, len(groups))
 	for i, g := range groups {
@@ -466,12 +438,8 @@ func (f *Federator) runReplicated(ctx context.Context, script, varName string, c
 			started := time.Now()
 			results[i] = f.runLeg(ctx, script, varName, chunkSize, legs[i])
 			if legs[i].legSp != nil {
-				if results[i].ds != nil {
-					rs := 0
-					for _, s := range results[i].ds.Samples {
-						rs += len(s.Regions)
-					}
-					legs[i].legSp.SetOutput(len(results[i].ds.Samples), rs)
+				if ds := results[i].ds; ds != nil {
+					legs[i].legSp.SetOutput(len(ds.Samples), regionCount(ds))
 				}
 				legs[i].legSp.SetAttr("attempts", strconv.Itoa(legs[i].attempts))
 				legs[i].legSp.Finish(started)
@@ -484,11 +452,12 @@ func (f *Federator) runReplicated(ctx context.Context, script, varName string, c
 
 // QueryProfiled is Query with federated EXPLAIN ANALYZE: it returns the
 // merged cross-node span tree alongside the result. The tree's FEDERATED
-// root covers coordinator planning, one MEMBER subtree per node — execute
-// (with the node's own remote profile grafted in), chunked fetch, release,
-// each annotated with retry attempts, breaker state and bytes moved — and
-// the final merge. Render it with (*obs.Span).Render, exactly like a local
-// profile.
+// root covers coordinator planning, one LEG subtree per replica group (per
+// member without a Placement) holding a MEMBER subtree per replica attempt
+// — execute (with the node's own remote profile grafted in), chunked fetch,
+// release, each annotated with retry attempts, breaker state and bytes
+// moved — and the final merge. Render it with (*obs.Span).Render, exactly
+// like a local profile.
 func (f *Federator) QueryProfiled(ctx context.Context, script, varName string, chunkSize int) (*gdm.Dataset, *obs.Span, *PartialFailure, error) {
 	return f.run(ctx, script, varName, chunkSize, true)
 }

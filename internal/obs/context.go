@@ -16,7 +16,7 @@ import (
 const (
 	// HeaderQueryID carries the query's process-spanning identity.
 	HeaderQueryID = "X-Query-ID"
-	// HeaderParentSpan names the coordinator-side span (e.g. "q.../member1")
+	// HeaderParentSpan names the coordinator-side span (e.g. "q.../leg0/member1.1")
 	// the remote execution hangs under in the merged profile.
 	HeaderParentSpan = "X-Parent-Span"
 )
