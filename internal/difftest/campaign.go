@@ -157,6 +157,9 @@ dispatch:
 	if opts.Federation {
 		rep.Configs = append(rep.Configs, "federation")
 	}
+	for _, ec := range Matrix() {
+		rep.Configs = append(rep.Configs, "materialize-all/"+ec.Name)
+	}
 	if storageErr != nil {
 		rep.Diverged = append(rep.Diverged, &CaseResult{
 			Script: "(storage axis setup)",

@@ -168,58 +168,49 @@ func runMatrix(res *CaseResult, text, final string, cat engine.MapCatalog, opts 
 	}
 	matrix := Matrix()
 	oracleCfg := matrix[0]
+	digests := digestCatalog(cat)
 	oracle, oracleErr := (&gmql.Runner{Config: oracleCfg.Cfg, Catalog: cat}).Eval(prog, final)
 	if oracleErr != nil {
 		res.OracleErr = oracleErr.Error()
 	}
-	for _, ec := range matrix[1:] {
-		cr := ConfigResult{Config: ec.Name}
-		got, err := (&gmql.Runner{Config: ec.Cfg, Catalog: cat}).Eval(prog, final)
+	if msg := ownershipDiff(oracleErr, digests, cat); msg != "" {
+		res.Results = append(res.Results, ConfigResult{Config: oracleCfg.Name, Err: res.OracleErr, Diff: msg})
+	}
+	// judge compares one configuration's outcome with the oracle's, then
+	// checks that the configuration left the catalog untouched.
+	judge := func(name, what string, got *gdm.Dataset, err error) {
+		cr := ConfigResult{Config: name}
 		switch {
 		case err != nil && oracleErr != nil:
 			// Both error: agreement.
 			cr.Err = err.Error()
 		case err != nil:
 			cr.Err = err.Error()
-			cr.Diff = fmt.Sprintf("config errored but oracle succeeded: %v", err)
+			cr.Diff = fmt.Sprintf("%s errored but oracle succeeded: %v", what, err)
 		case oracleErr != nil:
-			cr.Diff = "config succeeded but oracle errored: " + oracleErr.Error()
+			cr.Diff = what + " succeeded but oracle errored: " + oracleErr.Error()
 		default:
 			cr.Diff = Diff(oracle, got, opts.Tolerance)
 		}
+		if cr.Diff == "" {
+			cr.Diff = ownershipDiff(err, digests, cat)
+		}
 		res.Results = append(res.Results, cr)
+	}
+	for _, ec := range matrix[1:] {
+		got, err := (&gmql.Runner{Config: ec.Cfg, Catalog: cat}).Eval(prog, final)
+		judge(ec.Name, "config", got, err)
 	}
 	for _, sc := range storageMatrix(opts.Storage) {
-		cr := ConfigResult{Config: sc.Name}
 		got, err := (&gmql.Runner{Config: sc.Cfg, Catalog: sc.Cat}).Eval(prog, final)
-		switch {
-		case err != nil && oracleErr != nil:
-			cr.Err = err.Error()
-		case err != nil:
-			cr.Err = err.Error()
-			cr.Diff = fmt.Sprintf("config errored but oracle succeeded: %v", err)
-		case oracleErr != nil:
-			cr.Diff = "config succeeded but oracle errored: " + oracleErr.Error()
-		default:
-			cr.Diff = Diff(oracle, got, opts.Tolerance)
-		}
-		res.Results = append(res.Results, cr)
+		judge(sc.Name, "config", got, err)
 	}
 	if opts.Federation {
-		cr := ConfigResult{Config: "federation"}
 		got, err := runFederated(text, final, cat)
-		switch {
-		case err != nil && oracleErr != nil:
-			cr.Err = err.Error()
-		case err != nil:
-			cr.Err = err.Error()
-			cr.Diff = fmt.Sprintf("federation errored but oracle succeeded: %v", err)
-		case oracleErr != nil:
-			cr.Diff = "federation succeeded but oracle errored: " + oracleErr.Error()
-		default:
-			cr.Diff = Diff(oracle, got, opts.Tolerance)
-		}
-		res.Results = append(res.Results, cr)
+		judge("federation", "federation", got, err)
+	}
+	if oracleErr == nil {
+		runSharedResults(res, text, cat, opts, oracle, digests)
 	}
 }
 

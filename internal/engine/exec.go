@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -88,7 +89,13 @@ func (s *Session) Eval(plan Node) (ds *gdm.Dataset, err error) {
 		observeKill(err)
 	}()
 	metricQueries.With(s.e.cfg.Mode.String()).Inc()
-	return s.e.eval(plan, nil)
+	if ds, err = s.e.eval(plan, nil); err == nil {
+		err = s.e.verifyOwned()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ds, nil
 }
 
 // EvalProfiled executes one plan like Eval while recording a span tree that
@@ -118,6 +125,9 @@ func (s *Session) EvalProfiledLive(plan Node, publish func(*obs.Span)) (ds *gdm.
 		publish(sp)
 	}
 	ds, err = s.e.eval(plan, sp)
+	if err == nil {
+		err = s.e.verifyOwned()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -145,9 +155,70 @@ type evaluator struct {
 	cat Catalog
 	// cache memoizes results by plan node identity, so a subplan shared by
 	// several GMQL variables executes once. Operators never mutate their
-	// inputs, which makes sharing results safe.
+	// inputs, which makes sharing results safe. Under Config.ValidateOutputs
+	// that is checked, not assumed: every entry's content digest is recorded
+	// when it is stored (a Scan's entry is the catalog dataset itself) and
+	// re-verified whenever an evaluation returns (verifyOwned).
 	mu    sync.Mutex
 	cache map[Node]*gdm.Dataset
+	owned []ownedDataset
+}
+
+// ErrOwnership is the error class of ownership violations: a catalog
+// dataset or a cached operator output whose content changed during a
+// session (see Config.ValidateOutputs).
+var ErrOwnership = errors.New("engine: ownership violated")
+
+// ownedDataset is one dataset the ownership check watches: what it is (a
+// catalog dataset, or the output of a plan node) and its content digest
+// when it entered the cache.
+type ownedDataset struct {
+	what   string
+	ds     *gdm.Dataset
+	digest string
+}
+
+// own stores a node's result in the cache and, under Config.ValidateOutputs,
+// records its digest for verifyOwned. A dataset reached through several
+// nodes (one catalog dataset behind two Scans) is watched once.
+func (e *evaluator) own(n Node, ds *gdm.Dataset) {
+	var digest string
+	if e.cfg.ValidateOutputs {
+		digest = ds.ContentDigest()
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.cache[n] = ds
+	if digest == "" {
+		return
+	}
+	for _, o := range e.owned {
+		if o.ds == ds {
+			return
+		}
+	}
+	line, _, _ := strings.Cut(n.Describe(0), "\n")
+	what := "the output of " + line
+	if scan, ok := n.(*Scan); ok {
+		what = "catalog dataset " + scan.Dataset
+	}
+	e.owned = append(e.owned, ownedDataset{what: what, ds: ds, digest: digest})
+}
+
+// verifyOwned re-digests every watched dataset and fails on the first one
+// whose content changed since it entered the cache: some operator, or a
+// caller holding an earlier result, wrote into data it does not own.
+func (e *evaluator) verifyOwned() error {
+	e.mu.Lock()
+	owned := append([]ownedDataset(nil), e.owned...)
+	e.mu.Unlock()
+	for _, o := range owned {
+		if got := o.ds.ContentDigest(); got != o.digest {
+			return fmt.Errorf("%w: %s changed during the session (digest %s, now %s)",
+				ErrOwnership, o.what, gdm.ShortDigest(o.digest), gdm.ShortDigest(got))
+		}
+	}
+	return nil
 }
 
 // eval evaluates one node into sp, its (possibly nil) span. A nil span means
@@ -186,9 +257,7 @@ func (e *evaluator) eval(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 		}
 		return nil, berr
 	}
-	e.mu.Lock()
-	e.cache[n] = ds
-	e.mu.Unlock()
+	e.own(n, ds)
 	if sp != nil {
 		finishSpan(sp, e.cfg, ds, start)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"genogo/internal/expr"
@@ -273,5 +274,71 @@ func TestUnionCountProperty(t *testing.T) {
 	}
 	if out.NumRegions() != a.NumRegions()+b.NumRegions() {
 		t.Errorf("regions = %d, want %d", out.NumRegions(), a.NumRegions()+b.NumRegions())
+	}
+}
+
+// TestOwnershipViolationNamesNode writes into data the plan does not own, on
+// purpose, through the chaos stall hook (which runs inside operator
+// kernels): Config.ValidateOutputs must fail the evaluation and name the
+// catalog dataset or plan node whose content changed. Without the check the
+// write goes unnoticed and the query returns a result built from torn input.
+func TestOwnershipViolationNamesNode(t *testing.T) {
+	build := func() MapCatalog {
+		ref := mkDataset(t, "R", mkSample("p", nil,
+			regSpec{"chr1", 0, 100, gdm.StrandNone, 1, "w1"},
+			regSpec{"chr1", 200, 300, gdm.StrandNone, 2, "w2"},
+		))
+		exp := mkDataset(t, "E", mkSample("e", nil,
+			regSpec{"chr1", 10, 20, gdm.StrandNone, 5, "a"},
+			regSpec{"chr1", 250, 260, gdm.StrandNone, 6, "b"},
+		))
+		return MapCatalog{"R": ref, "E": exp}
+	}
+	mapNode := func() *MapOp {
+		return &MapOp{Ref: &Scan{Dataset: "R"}, Exp: &Scan{Dataset: "E"}, Args: MapArgs{Aggs: countAgg()}}
+	}
+	var mutate func()
+	cfg := Config{Mode: ModeSerial, Workers: 1, MetaFirst: true, ValidateOutputs: true,
+		Stall: func(<-chan struct{}) {
+			if mutate != nil {
+				mutate()
+				mutate = nil
+			}
+		}}
+
+	// A kernel writing into a catalog input.
+	cat := build()
+	mutate = func() { cat["E"].Samples[0].Regions[0].Values[0] = gdm.Float(99) }
+	_, err := NewSession(cfg, cat).Eval(mapNode())
+	if err == nil || !strings.Contains(err.Error(), "ownership violated: catalog dataset E changed") {
+		t.Fatalf("catalog write: err = %v, want an ownership violation naming dataset E", err)
+	}
+
+	// A later evaluation of the session writing into an earlier, cached
+	// operator output (the profiled path checks too).
+	cat = build()
+	s := NewSession(cfg, cat)
+	m := mapNode()
+	out, err := s.Eval(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate = func() { out.Samples[0].Regions[1].Values[2] = gdm.Int(-1) }
+	_, _, err = s.EvalProfiled(&SelectOp{Input: m, Meta: expr.MetaExists{Attr: "left.missing"}})
+	if err == nil || !strings.Contains(err.Error(), "ownership violated: the output of MAP count AS COUNT joinby: [] changed") {
+		t.Fatalf("cached-output write: err = %v, want an ownership violation naming the MAP node", err)
+	}
+
+	// Without writes the same plans pass, and the check is off without
+	// ValidateOutputs.
+	if _, err := NewSession(cfg, build()).Eval(mapNode()); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	cat = build()
+	mutate = func() { cat["E"].Samples[0].Regions[0].Values[0] = gdm.Float(99) }
+	off := cfg
+	off.ValidateOutputs = false
+	if _, err := NewSession(off, cat).Eval(mapNode()); err != nil {
+		t.Fatalf("check disabled: %v", err)
 	}
 }

@@ -60,13 +60,13 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 	out := gdm.NewDataset(ref.Name, schema)
 	outSamples := make([]*gdm.Sample, len(pairs))
 
-	// pairState holds the per-pair accumulator matrix. Different
-	// chromosomes of one pair touch disjoint reference-region rows, so
-	// chromosome tasks of the same pair can run concurrently without locks.
+	// pairState holds one pair's accumulators, one column per aggregate.
+	// Different chromosomes of one pair touch disjoint reference-region
+	// rows, so chromosome tasks of the same pair can run concurrently
+	// without locks.
 	type pairState struct {
 		r, e *gdm.Sample
-		// accs[ri][ai] accumulates aggregate ai for reference region ri.
-		accs [][]*expr.Accumulator
+		cols []mapColumn
 	}
 	states := make([]*pairState, len(pairs))
 	type task struct {
@@ -75,13 +75,9 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 	}
 	var tasks []task
 	for pi, p := range pairs {
-		st := &pairState{r: p[0], e: p[1], accs: make([][]*expr.Accumulator, len(p[0].Regions))}
-		for ri := range st.accs {
-			row := make([]*expr.Accumulator, len(aggs))
-			for ai := range aggs {
-				row[ai] = expr.NewAccumulator(aggs[ai].Func)
-			}
-			st.accs[ri] = row
+		st := &pairState{r: p[0], e: p[1], cols: make([]mapColumn, len(aggs))}
+		for ai := range aggs {
+			st.cols[ai] = newMapColumn(aggs[ai].Func, len(p[0].Regions))
 		}
 		states[pi] = st
 		for _, cs := range chromSpans(p[0]) {
@@ -104,11 +100,13 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 			if !rr.Strand.Compatible(er.Strand) {
 				return
 			}
-			for ai := range aggs {
-				if aggIdx[ai] < 0 {
-					st.accs[refIdx][ai].Add(gdm.Null())
+			for ai := range st.cols {
+				// Only COUNT-like columns count, and only they take no
+				// attribute, so every accumulator column has aggIdx >= 0.
+				if col := &st.cols[ai]; col.counts != nil {
+					col.counts[refIdx]++
 				} else {
-					st.accs[refIdx][ai].Add(er.Values[aggIdx[ai]])
+					col.accs[refIdx].Add(er.Values[aggIdx[ai]])
 				}
 			}
 		}
@@ -139,7 +137,11 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		}
 	})
 
-	// Phase 2: finalize output samples, parallel over pairs.
+	// Phase 2: finalize output samples, parallel over pairs. Each sample's
+	// values live in one slab; every region's row is capacity-capped, so
+	// appending to one region's Values reallocates instead of overwriting
+	// its neighbour's row.
+	w, base := schema.Len(), ref.Schema.Len()
 	cfg.forEach(len(pairs), func(pi int) {
 		st := states[pi]
 		ns := &gdm.Sample{
@@ -147,12 +149,13 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 			Meta:    mergeSampleMeta(st.r, st.e),
 			Regions: make([]gdm.Region, len(st.r.Regions)),
 		}
+		slab := make([]gdm.Value, len(st.r.Regions)*w)
 		for ri := range st.r.Regions {
 			src := st.r.Regions[ri]
-			vals := make([]gdm.Value, 0, schema.Len())
-			vals = append(vals, src.Values...)
-			for ai := range aggs {
-				vals = append(vals, st.accs[ri][ai].Result())
+			vals := slab[ri*w : (ri+1)*w : (ri+1)*w]
+			copy(vals[:base], src.Values)
+			for ai := range st.cols {
+				vals[base+ai] = st.cols[ai].result(ri)
 			}
 			src.Values = vals
 			ns.Regions[ri] = src
@@ -161,4 +164,32 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 	})
 	out.Samples = outSamples
 	return out, nil
+}
+
+// mapColumn accumulates one aggregate for every reference region of a MAP
+// pair. COUNT-like functions, the headline query's, keep a plain counter per
+// region; every other function keeps a flat slice of value accumulators.
+// Either way the column is one allocation per pair, not one per region.
+type mapColumn struct {
+	counts []int64
+	accs   []expr.Accumulator
+}
+
+func newMapColumn(fn expr.AggFunc, regions int) mapColumn {
+	if !fn.NeedsAttr() {
+		return mapColumn{counts: make([]int64, regions)}
+	}
+	accs := make([]expr.Accumulator, regions)
+	for i := range accs {
+		accs[i] = expr.MakeAccumulator(fn)
+	}
+	return mapColumn{accs: accs}
+}
+
+// result is the aggregate value of reference region ri.
+func (c *mapColumn) result(ri int) gdm.Value {
+	if c.counts != nil {
+		return gdm.Int(c.counts[ri])
+	}
+	return c.accs[ri].Result()
 }

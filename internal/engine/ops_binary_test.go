@@ -241,17 +241,44 @@ func TestMapCount(t *testing.T) {
 func TestMapAggregates(t *testing.T) {
 	ref := mkDataset(t, "R", mkSample("p", nil,
 		regSpec{"chr1", 0, 100, gdm.StrandNone, 0, "win"},
+		regSpec{"chr1", 150, 250, gdm.StrandNone, 0, "w2"},
+		regSpec{"chr2", 0, 50, gdm.StrandNone, 0, "lonely"},
 	))
 	exp := mkDataset(t, "E", mkSample("e", nil,
 		regSpec{"chr1", 10, 20, gdm.StrandNone, 2, "a"},
 		regSpec{"chr1", 30, 40, gdm.StrandNone, 4, "b"},
 		regSpec{"chr1", 200, 210, gdm.StrandNone, 100, "far"},
+		regSpec{"chr1", 220, 260, gdm.StrandNone, 7, "c"},
+		regSpec{"chr3", 0, 10, gdm.StrandNone, 1, "elsewhere"},
 	))
-	out, err := Map(Config{MetaFirst: true}, ref, exp, MapArgs{Aggs: []expr.Aggregate{
+	// A null score: skipped by every value aggregate, counted by COUNT.
+	exp.Samples[0].Regions[3].Values[0] = gdm.Null()
+	aggs := []expr.Aggregate{
 		{Output: "n", Func: expr.AggCount},
 		{Output: "avg_score", Func: expr.AggAvg, Attr: "score"},
 		{Output: "max_score", Func: expr.AggMax, Attr: "score"},
-	}})
+		// Every other function, including MEDIAN and BAG, whose accumulators
+		// hold slices, and MIN/MAX/BAG over a string attribute.
+		{Output: "nsamp", Func: expr.AggCountSamp},
+		{Output: "sum", Func: expr.AggSum, Attr: "score"},
+		{Output: "min", Func: expr.AggMin, Attr: "score"},
+		{Output: "median", Func: expr.AggMedian, Attr: "score"},
+		{Output: "std", Func: expr.AggStd, Attr: "score"},
+		{Output: "bag", Func: expr.AggBag, Attr: "score"},
+		{Output: "min_name", Func: expr.AggMin, Attr: "name"},
+		{Output: "max_name", Func: expr.AggMax, Attr: "name"},
+		{Output: "bag_name", Func: expr.AggBag, Attr: "name"},
+	}
+	covered := make(map[expr.AggFunc]bool)
+	for _, a := range aggs {
+		covered[a.Func] = true
+	}
+	for fn := expr.AggCount; fn <= expr.AggBag; fn++ {
+		if !covered[fn] {
+			t.Fatalf("aggregate %s not exercised through MAP", fn)
+		}
+	}
+	out, err := Map(Config{MetaFirst: true}, ref, exp, MapArgs{Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +288,65 @@ func TestMapAggregates(t *testing.T) {
 	mi, _ := out.Schema.Index("max_score")
 	if r.Values[ni].Int() != 2 || r.Values[ai].Float() != 3 || r.Values[mi].Float() != 4 {
 		t.Errorf("aggs = %v", r.Values)
+	}
+
+	// Every aggregate of every reference region must equal
+	// expr.AggregateValues over the experiment regions overlapping it.
+	base := ref.Schema.Len()
+	for ri, rr := range out.Samples[0].Regions {
+		var over []gdm.Region
+		for _, er := range exp.Samples[0].Regions {
+			if er.Chrom == rr.Chrom && er.Start < rr.Stop && rr.Start < er.Stop {
+				over = append(over, er)
+			}
+		}
+		for k, a := range aggs {
+			vals := make([]gdm.Value, len(over))
+			if a.Func.NeedsAttr() {
+				j, _ := exp.Schema.Index(a.Attr)
+				for i, er := range over {
+					vals[i] = er.Values[j]
+				}
+			}
+			want := expr.AggregateValues(a.Func, vals)
+			got := rr.Values[base+k]
+			if got.Kind() != want.Kind() || got.String() != want.String() {
+				t.Errorf("region %d (%s) %s: MAP = %v (%s), AggregateValues = %v (%s)",
+					ri, rr, a, got, got.Kind(), want, want.Kind())
+			}
+		}
+	}
+}
+
+// TestMapValuesRowsIndependent pins the slab layout of MAP outputs: the
+// regions of one output sample share one value slab, so each row must be
+// capacity-capped — appending to one region's Values must reallocate, never
+// write into its neighbour's row.
+func TestMapValuesRowsIndependent(t *testing.T) {
+	ref := mkDataset(t, "R", mkSample("p", nil,
+		regSpec{"chr1", 0, 100, gdm.StrandNone, 1, "first"},
+		regSpec{"chr1", 200, 300, gdm.StrandNone, 2, "second"},
+	))
+	exp := mkDataset(t, "E", mkSample("e", nil,
+		regSpec{"chr1", 10, 20, gdm.StrandNone, 5, "a"},
+	))
+	out, err := Map(Config{MetaFirst: true}, ref, exp, MapArgs{Aggs: countAgg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := out.Samples[0].Regions
+	want := append([]gdm.Value(nil), regs[1].Values...)
+	grown := append(regs[0].Values, gdm.Str("intruder"))
+	if len(grown) != len(want)+1 {
+		t.Fatalf("grown row = %v", grown)
+	}
+	for i, v := range regs[1].Values {
+		if v.String() != want[i].String() || v.Kind() != want[i].Kind() {
+			t.Fatalf("appending to region 0 changed region 1: %v, want %v", regs[1].Values, want)
+		}
+	}
+	if err := ValidateOperatorOutput("MAP", out); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -54,7 +54,10 @@ func applyStages(cfg Config, ds *gdm.Dataset, name string, stages []stage) *gdm.
 
 // compileSelect builds the SELECT stage: the metadata predicate drops whole
 // samples (the meta-first optimization — no region is touched for pruned
-// samples), the region predicate filters regions. Either may be nil.
+// samples), the region predicate filters regions. Either may be nil. With
+// no region predicate a surviving sample passes through as is: its output
+// shares the input sample, which the dataset ownership contract (DESIGN.md)
+// makes safe.
 func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, region expr.Node) (stage, error) {
 	var bound expr.Bound
 	if region != nil {
@@ -69,14 +72,16 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 		if meta != nil && metaFirst && !meta.EvalMeta(s.Meta) {
 			return nil, false
 		}
-		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone()}
 		if bound == nil {
-			ns.Regions = append([]gdm.Region(nil), s.Regions...)
-		} else {
-			for ri := range s.Regions {
-				if bound.Eval(&s.Regions[ri]).Bool() {
-					ns.Regions = append(ns.Regions, s.Regions[ri])
-				}
+			if meta != nil && !metaFirst && !meta.EvalMeta(s.Meta) {
+				return nil, false
+			}
+			return s, true
+		}
+		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone()}
+		for ri := range s.Regions {
+			if bound.Eval(&s.Regions[ri]).Bool() {
+				ns.Regions = append(ns.Regions, s.Regions[ri])
 			}
 		}
 		if meta != nil && !metaFirst && !meta.EvalMeta(ns.Meta) {

@@ -137,7 +137,15 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for the function.
 func NewAccumulator(fn AggFunc) *Accumulator {
-	return &Accumulator{fn: fn, allInt: true}
+	a := MakeAccumulator(fn)
+	return &a
+}
+
+// MakeAccumulator returns an empty accumulator for the function by value, so
+// an operator folding many groups at once can hold them in one flat slice
+// instead of one heap object per group.
+func MakeAccumulator(fn AggFunc) Accumulator {
+	return Accumulator{fn: fn, allInt: true}
 }
 
 // Add folds one value. Null values are skipped (they carry no information),

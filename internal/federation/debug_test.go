@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,5 +173,39 @@ func TestServerHealthEndpoint(t *testing.T) {
 		if resp.StatusCode == http.StatusOK {
 			t.Error("POST /health should not be accepted")
 		}
+	}
+}
+
+// TestServerHandlerCollected: a node handler that is dropped must not stay
+// reachable through the process-wide debug machinery — building a handler
+// once per federated set-up used to pin its server, and every dataset the
+// server holds, for the life of the process.
+func TestServerHandlerCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		g := synth.New(7)
+		srv := NewServer("dropped", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+			g.Encode(synth.EncodeOptions{Samples: 2, MeanPeaks: 10}))
+		runtime.SetFinalizer(srv, func(*Server) { close(collected) })
+		h := srv.Handler()
+		// Serve one request so the handler's lazily built state exists too.
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/", nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "/debug/queries") {
+			t.Fatalf("/debug/ index: %d %s", rec.Code, rec.Body.String())
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dropped server handler was never garbage collected")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -458,6 +458,10 @@ func (f *Federator) runReplicated(ctx context.Context, script, varName string, c
 // release, each annotated with retry attempts, breaker state and bytes
 // moved — and the final merge. Render it with (*obs.Span).Render, exactly
 // like a local profile.
+//
+// The returned tree is a detached snapshot: a canceled hedge or failover
+// loser may still be finishing its MEMBER span when the query returns.
 func (f *Federator) QueryProfiled(ctx context.Context, script, varName string, chunkSize int) (*gdm.Dataset, *obs.Span, *PartialFailure, error) {
-	return f.run(ctx, script, varName, chunkSize, true)
+	ds, root, report, err := f.run(ctx, script, varName, chunkSize, true)
+	return ds, root.Snapshot(), report, err
 }

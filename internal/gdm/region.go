@@ -187,6 +187,11 @@ func CompareRegions(a, b Region) int {
 // suffixes compare as numbers (chr2 < chr10), then X < Y < M, then any other
 // name lexicographically. Both "chrN" and bare "N" spellings are understood.
 func CompareChrom(a, b string) int {
+	if a == b {
+		// The common case in canonical-order checks and sweeps: neighbouring
+		// regions share a chromosome, and parsing it twice would dominate.
+		return 0
+	}
 	ra, na := chromRank(a)
 	rb, nb := chromRank(b)
 	switch {

@@ -3,6 +3,7 @@ package gmql
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"genogo/internal/engine"
@@ -11,10 +12,38 @@ import (
 )
 
 // Result is one materialized output of a script.
+//
+// Dataset is a read-only view: it shares its samples with the evaluation
+// session, with the other results of the same script and, for targets that
+// pass catalog samples through unchanged, with the catalog. Callers that
+// mutate a result must Clone it first.
 type Result struct {
 	Var     string
 	Target  string
 	Dataset *gdm.Dataset
+}
+
+// publish returns the read-only view of an evaluated dataset that callers
+// receive: a new header with the given name over the same schema, and the
+// same samples sorted by ID. A sample whose regions are already in canonical
+// order (every operator output is) is shared, not copied; any other sample
+// is cloned and then sorted, so publishing never writes to the evaluated
+// dataset.
+func publish(ds *gdm.Dataset, name string) *gdm.Dataset {
+	out := gdm.NewDataset(name, ds.Schema)
+	out.Samples = make([]*gdm.Sample, len(ds.Samples))
+	for i, s := range ds.Samples {
+		if !s.RegionsSorted() {
+			s = s.Clone()
+			s.SortRegions()
+		}
+		out.Samples[i] = s
+	}
+	byID := func(i, j int) bool { return out.Samples[i].ID < out.Samples[j].ID }
+	if !sort.SliceIsSorted(out.Samples, byID) {
+		sort.SliceStable(out.Samples, byID)
+	}
+	return out
 }
 
 // Runner executes parsed GMQL programs against a dataset catalog. The
@@ -79,7 +108,8 @@ func (r *Runner) plan(p *Program, name string) engine.Node {
 }
 
 // Eval evaluates one variable of the program (whether or not it is
-// materialized), returning its dataset.
+// materialized), returning its dataset: a read-only view, like
+// Result.Dataset.
 func (r *Runner) Eval(p *Program, name string) (*gdm.Dataset, error) {
 	return r.EvalContext(context.Background(), p, name)
 }
@@ -96,10 +126,7 @@ func (r *Runner) EvalContext(ctx context.Context, p *Program, name string) (*gdm
 	if err != nil {
 		return nil, r.queryErr(name, err, time.Since(start))
 	}
-	out := ds.Clone()
-	out.Name = name
-	out.SortRegions()
-	return out, nil
+	return publish(ds, name), nil
 }
 
 // EvalProfiled is Eval plus the recorded span tree of the execution — the
@@ -121,10 +148,7 @@ func (r *Runner) EvalProfiledContext(ctx context.Context, p *Program, name strin
 	}
 	r.SlowLog.ObserveQuery(r.QueryID, name, sp)
 	obs.ObserveQueryProfile(sp)
-	out := ds.Clone()
-	out.Name = name
-	out.SortRegions()
-	return out, sp, nil
+	return publish(ds, name), sp, nil
 }
 
 // Materialize evaluates every MATERIALIZE statement of the program, sharing
@@ -187,10 +211,7 @@ func (r *Runner) materialize(ctx context.Context, p *Program, profile bool) ([]R
 		}
 		r.SlowLog.ObserveQuery(r.QueryID, m.Var, sp)
 		obs.ObserveQueryProfile(sp)
-		out := ds.Clone()
-		out.Name = m.Target
-		out.SortRegions()
-		results = append(results, Result{Var: m.Var, Target: m.Target, Dataset: out})
+		results = append(results, Result{Var: m.Var, Target: m.Target, Dataset: publish(ds, m.Target)})
 		if profile {
 			spans = append(spans, sp)
 		}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -123,5 +125,54 @@ func TestSizeString(t *testing.T) {
 		if got := sizeString(n); got != want {
 			t.Errorf("sizeString(%d) = %q, want %q", n, got, want)
 		}
+	}
+}
+
+func TestReadResGCDeltas(t *testing.T) {
+	base := ReadRes()
+	burnSink = burn()
+	runtime.GC()
+	d := ReadRes().Sub(base)
+	if d.GCCycles < 1 {
+		t.Errorf("GCCycles delta = %d across a forced GC, want >= 1", d.GCCycles)
+	}
+	if d.GCCPUNS <= 0 {
+		t.Errorf("GCCPUNS delta = %d across a forced GC, want > 0", d.GCCPUNS)
+	}
+}
+
+// TestSpanGCRendering: GC attribution renders on the root span only, marked
+// approximate, and is omitted from span JSON when unrecorded, so profiles
+// from nodes that do not record it decode and render as before.
+func TestSpanGCRendering(t *testing.T) {
+	root := &Span{Op: "MAP", Mode: "serial", GCCPUNS: 2_500_000, GCCycles: 3}
+	root.Children = []*Span{{Op: "SCAN", Mode: "serial", GCCPUNS: 1_000_000, GCCycles: 1}}
+	lines := strings.Split(root.Render(), "\n")
+	if !strings.Contains(lines[0], " gc=~2.5ms/3cycles") {
+		t.Errorf("root line %q lacks the GC attribution", lines[0])
+	}
+	if strings.Contains(lines[1], "gc=") {
+		t.Errorf("child line %q renders GC attribution", lines[1])
+	}
+	js, err := json.Marshal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(js), `"gc_cpu_ns":2500000,"gc_cycles":3`) {
+		t.Errorf("span JSON lacks the GC fields: %s", js)
+	}
+	var old Span
+	if err := json.Unmarshal([]byte(`{"op":"MAP","duration_ns":5,"samples_in":0,"regions_in":0,"samples_out":1,"regions_out":2}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.GCCPUNS != 0 || old.GCCycles != 0 || strings.Contains(old.Render(), "gc=") {
+		t.Errorf("older span JSON decoded with GC attribution: %s", old.Render())
+	}
+	if js, _ := json.Marshal(&old); strings.Contains(string(js), "gc_") {
+		t.Errorf("unrecorded GC fields marshaled: %s", js)
+	}
+	root.ZeroDurations()
+	if root.GCCPUNS != 0 || root.Children[0].GCCycles != 0 {
+		t.Errorf("ZeroDurations kept GC attribution: %s", root.Render())
 	}
 }

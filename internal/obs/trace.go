@@ -48,6 +48,12 @@ type Span struct {
 	// window, including inputs — same process-wide semantics as CPUNS.
 	AllocObjs  int64 `json:"alloc_objs,omitempty"`
 	AllocBytes int64 `json:"alloc_bytes,omitempty"`
+	// GCCPUNS and GCCycles are the garbage collector's CPU time and the GC
+	// cycles completed during the window. They are process-wide and
+	// approximate under concurrency (see ResUsage); Render shows them on
+	// the root span only, where they cover the whole query.
+	GCCPUNS  int64 `json:"gc_cpu_ns,omitempty"`
+	GCCycles int64 `json:"gc_cycles,omitempty"`
 	// Fused lists the operator names of the fusion chain this span heads
 	// (stream backend only); nil for unfused operators.
 	Fused []string `json:"fused,omitempty"`
@@ -136,8 +142,7 @@ func (s *Span) FinishRes() {
 	now := ReadRes()
 	s.mu.Lock()
 	if s.resArmed {
-		d := now.Sub(s.resBase)
-		s.CPUNS, s.AllocObjs, s.AllocBytes = d.CPUNS, d.AllocObjs, d.AllocBytes
+		s.setRes(now.Sub(s.resBase))
 	}
 	s.mu.Unlock()
 }
@@ -149,7 +154,19 @@ func (s *Span) Res() ResUsage {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return ResUsage{CPUNS: s.CPUNS, AllocObjs: s.AllocObjs, AllocBytes: s.AllocBytes}
+	return s.res()
+}
+
+// res and setRes move the span's attributed resource fields as one
+// ResUsage.
+func (s *Span) res() ResUsage {
+	return ResUsage{CPUNS: s.CPUNS, AllocObjs: s.AllocObjs, AllocBytes: s.AllocBytes,
+		GCCPUNS: s.GCCPUNS, GCCycles: s.GCCycles}
+}
+
+func (s *Span) setRes(r ResUsage) {
+	s.CPUNS, s.AllocObjs, s.AllocBytes = r.CPUNS, r.AllocObjs, r.AllocBytes
+	s.GCCPUNS, s.GCCycles = r.GCCPUNS, r.GCCycles
 }
 
 // SetOutput records the span's output dataset shape.
@@ -282,6 +299,7 @@ func (s *Span) Snapshot() *Span {
 		SamplesOut: s.SamplesOut, RegionsOut: s.RegionsOut,
 		Workers: s.Workers, CacheHit: s.CacheHit, Remote: s.Remote,
 		CPUNS: s.CPUNS, AllocObjs: s.AllocObjs, AllocBytes: s.AllocBytes,
+		GCCPUNS: s.GCCPUNS, GCCycles: s.GCCycles,
 		PruneParts: s.PruneParts, PrunableParts: s.PrunableParts,
 		PrunableRegions: s.PrunableRegions,
 		PartsConsulted:  s.PartsConsulted, PartsSkipped: s.PartsSkipped,
@@ -337,8 +355,10 @@ func (s *Span) SelfRes() ResUsage {
 		kids.CPUNS += c.CPUNS
 		kids.AllocObjs += c.AllocObjs
 		kids.AllocBytes += c.AllocBytes
+		kids.GCCPUNS += c.GCCPUNS
+		kids.GCCycles += c.GCCycles
 	}
-	return ResUsage{CPUNS: s.CPUNS, AllocObjs: s.AllocObjs, AllocBytes: s.AllocBytes}.Sub(kids)
+	return s.res().Sub(kids)
 }
 
 // ZeroDurations recursively clears every duration and every attributed
@@ -349,7 +369,7 @@ func (s *Span) ZeroDurations() {
 		return
 	}
 	s.DurationNS = 0
-	s.CPUNS, s.AllocObjs, s.AllocBytes = 0, 0, 0
+	s.setRes(ResUsage{})
 	for _, c := range s.Children {
 		c.ZeroDurations()
 	}
@@ -450,6 +470,11 @@ func (s *Span) render(b *strings.Builder, indent int) {
 	}
 	if s.AllocObjs > 0 {
 		fmt.Fprintf(b, " allocs=%d/%s", s.AllocObjs, sizeString(s.AllocBytes))
+	}
+	// GC work is process-wide, so only the root's window says anything
+	// about the query; "~" marks it approximate.
+	if indent == 0 && (s.GCCPUNS > 0 || s.GCCycles > 0) {
+		fmt.Fprintf(b, " gc=~%.1fms/%dcycles", float64(s.GCCPUNS)/1e6, s.GCCycles)
 	}
 	if s.SamplesIn > 0 || s.RegionsIn > 0 {
 		fmt.Fprintf(b, " in=%ds/%dr", s.SamplesIn, s.RegionsIn)
