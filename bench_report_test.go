@@ -1,15 +1,11 @@
-// BenchmarkHeadline is the PR-over-PR benchmark trajectory: the Section 2
-// headline query on all three backends, untraced and traced, at the smallest
-// sweep size so CI can afford it. TestBenchReportPR2 re-runs it through
-// testing.Benchmark and writes BENCH_PR2.json — ops, ns/op, allocs per
-// backend plus the tracing overhead — so future perf PRs have a baseline to
-// diff against.
+// BenchmarkHeadline is the Section 2 headline query on all three backends,
+// untraced and traced, at the smallest sweep size so CI can afford it. The
+// benchmark trajectory (BENCH_PR*.json: ops, ns/op, allocs per backend plus
+// the tracing overhead) is written by cmd/gmqlbench, which runs the same
+// rows.
 package genogo_test
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 
 	"genogo/internal/engine"
@@ -54,68 +50,4 @@ func BenchmarkHeadline(b *testing.B) {
 		b.Run("engine="+m.Name, func(b *testing.B) { runHeadline(b, cfg, false) })
 		b.Run("engine="+m.Name+"/profiled", func(b *testing.B) { runHeadline(b, cfg, true) })
 	}
-}
-
-// TestBenchReportPR2 writes the machine-readable benchmark report. Gated by
-// BENCH_REPORT so ordinary `go test ./...` stays fast; CI sets the variable
-// and uploads the JSON as an artifact.
-func TestBenchReportPR2(t *testing.T) {
-	if os.Getenv("BENCH_REPORT") == "" {
-		t.Skip("set BENCH_REPORT=1 to run the JSON benchmark reporter")
-	}
-	type row struct {
-		Name        string  `json:"name"`
-		Ops         int     `json:"ops"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-	}
-	report := struct {
-		PR        int                `json:"pr"`
-		Benchmark string             `json:"benchmark"`
-		Rows      []row              `json:"rows"`
-		Overhead  map[string]float64 `json:"tracing_overhead_pct"`
-	}{PR: 2, Benchmark: "BenchmarkHeadline", Overhead: map[string]float64{}}
-
-	toRow := func(name string, r testing.BenchmarkResult) row {
-		return row{
-			Name:        name,
-			Ops:         r.N,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-	}
-	load() // build fixtures outside any timed region
-	// Minimum of three runs per configuration: the minimum estimates the
-	// noise-free cost, which is what an overhead comparison needs.
-	best := func(cfg engine.Config, profiled bool) testing.BenchmarkResult {
-		r := testing.Benchmark(func(b *testing.B) { runHeadline(b, cfg, profiled) })
-		for i := 0; i < 2; i++ {
-			if n := testing.Benchmark(func(b *testing.B) { runHeadline(b, cfg, profiled) }); n.NsPerOp() < r.NsPerOp() {
-				r = n
-			}
-		}
-		return r
-	}
-	for _, m := range headlineModes {
-		cfg := engine.Config{Mode: m.Mode, MetaFirst: true}
-		base := best(cfg, false)
-		prof := best(cfg, true)
-		report.Rows = append(report.Rows, toRow(m.Name, base), toRow(m.Name+"/profiled", prof))
-		pct := 100 * (float64(prof.NsPerOp()) - float64(base.NsPerOp())) / float64(base.NsPerOp())
-		report.Overhead[m.Name] = pct
-		t.Logf("%s: %v/op untraced, %v/op traced, overhead %.2f%%", m.Name, base.NsPerOp(), prof.NsPerOp(), pct)
-		if pct > 5 {
-			t.Logf("warning: %s tracing overhead %.2f%% exceeds the 5%% budget (noisy host?)", m.Name, pct)
-		}
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR2.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println("wrote BENCH_PR2.json")
 }

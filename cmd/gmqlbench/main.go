@@ -64,7 +64,7 @@ type Row struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// Report is the trajectory file shape shared with TestBenchReportPR2.
+// Report is the trajectory file shape of every BENCH_PR*.json.
 type Report struct {
 	PR        int                `json:"pr"`
 	Benchmark string             `json:"benchmark"`

@@ -296,7 +296,9 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		observePrunableSelect(sp, in, op.Region)
+		if keep, ok := selectKeep(op.Region); ok {
+			observePrunable(sp, []partKeep{keep}, in)
+		}
 		return Select(e.cfg, in, meta, op.Region)
 	case *ProjectOp:
 		in, err := e.evalChild(op.Input, sp)
@@ -354,7 +356,9 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		observePrunableMap(sp, l, r)
+		if sp != nil {
+			observePrunable(sp, []partKeep{mapKeep(chromExtents(l))}, r)
+		}
 		return Map(e.cfg, l, r, op.Args)
 	case *JoinOp:
 		if ds, ok, err := e.tryJoinPruned(op, sp); ok || err != nil {
@@ -364,7 +368,10 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		observePrunableJoin(sp, l, r, op.Args.Pred)
+		if sp != nil {
+			pred := op.Args.Pred
+			observePrunable(sp, []partKeep{joinKeep(chromExtents(r), pred), joinKeep(chromExtents(l), pred)}, l, r)
+		}
 		return Join(e.cfg, l, r, op.Args)
 	default:
 		return nil, fmt.Errorf("engine: unknown plan node %T", n)
@@ -532,7 +539,9 @@ func (e *evaluator) tryFusedChain(n Node, sp *obs.Span) (*gdm.Dataset, bool, err
 				// zone windows say nothing about intermediate results. A
 				// pruned source already realized the opportunity — its scan
 				// span carries the skipped= accounting instead.
-				observePrunableSelect(sp, src, op.Region)
+				if keep, ok := selectKeep(op.Region); ok {
+					observePrunable(sp, []partKeep{keep}, src)
+				}
 			}
 		case *ProjectOp:
 			st, cerr = compileProject(schema, op.Args)

@@ -50,114 +50,115 @@ func zoneParts(ds *gdm.Dataset) []zonePart {
 	return out
 }
 
+// partKeep is one operator's pruning proof: it reports whether a (sample,
+// chromosome) partition with the given zone window can contribute output.
+// The same function drives the traced accounting (observePrunable) and the
+// pruned read (prunedScan), so the reported prunable count is exactly what a
+// pruned read skips.
+type partKeep func(chrom string, minStart, maxStop int64) bool
+
+// observePrunable records on a traced operator's span how many partitions
+// its keep functions reject: keeps[i] judges the partitions of ins[i] (one
+// per pruned input; JOIN has two). Untraced runs skip the scan entirely.
+func observePrunable(sp *obs.Span, keeps []partKeep, ins ...*gdm.Dataset) {
+	if sp == nil {
+		return
+	}
+	consulted, pparts := 0, 0
+	var pregions int64
+	for i, in := range ins {
+		for _, p := range zoneParts(in) {
+			consulted++
+			if !keeps[i](p.chrom, p.minStart, p.maxStop) {
+				pparts++
+				pregions += int64(p.regions)
+			}
+		}
+	}
+	if consulted > 0 {
+		sp.SetPrunable(consulted, pparts, pregions)
+	}
+}
+
 // chromExtent is the union of every partition window on one chromosome.
 type chromExtent struct {
 	minStart int64
 	maxStop  int64
 }
 
-func chromExtents(parts []zonePart) map[string]chromExtent {
-	out := make(map[string]chromExtent)
-	for _, p := range parts {
-		e, ok := out[p.chrom]
-		if !ok {
-			out[p.chrom] = chromExtent{p.minStart, p.maxStop}
-			continue
-		}
-		if p.minStart < e.minStart {
-			e.minStart = p.minStart
-		}
-		if p.maxStop > e.maxStop {
-			e.maxStop = p.maxStop
-		}
-		out[p.chrom] = e
+// extents maps each chromosome to the union of its partition windows.
+type extents map[string]chromExtent
+
+// widen grows the chromosome's extent to cover [minStart, maxStop).
+func (x extents) widen(chrom string, minStart, maxStop int64) {
+	e, ok := x[chrom]
+	if !ok {
+		x[chrom] = chromExtent{minStart, maxStop}
+		return
+	}
+	x[chrom] = chromExtent{min(e.minStart, minStart), max(e.maxStop, maxStop)}
+}
+
+// chromExtents is the zone view of a loaded dataset.
+func chromExtents(ds *gdm.Dataset) extents {
+	out := make(extents)
+	for _, p := range zoneParts(ds) {
+		out.widen(p.chrom, p.minStart, p.maxStop)
 	}
 	return out
 }
 
-// observePrunableSelect records how many of a traced SELECT's input
-// partitions the region predicate's zone window prunes. Predicates with no
-// zone-checkable structure record nothing.
-func observePrunableSelect(sp *obs.Span, in *gdm.Dataset, region expr.Node) {
-	if sp == nil || in == nil || region == nil {
-		return
+// statsExtents is the zone view of a dataset that has not been loaded, from
+// its manifest stats block.
+func statsExtents(st *catalog.DatasetStats) extents {
+	out := make(extents)
+	for i := range st.Samples {
+		for _, cs := range st.Samples[i].Chroms {
+			out.widen(cs.Chrom, cs.MinStart, cs.MaxStop)
+		}
+	}
+	return out
+}
+
+// selectKeep is SELECT's proof: a partition the region predicate's zone
+// window prunes holds only rejected regions. ok is false when the predicate
+// has no zone-checkable structure.
+func selectKeep(region expr.Node) (keep partKeep, ok bool) {
+	if region == nil {
+		return nil, false
 	}
 	w, ok := catalog.PredicateWindow(region)
 	if !ok {
-		return
+		return nil, false
 	}
-	consulted, pparts := 0, 0
-	var pregions int64
-	for _, p := range zoneParts(in) {
-		consulted++
-		if w.Prunes(p.chrom, p.minStart, p.maxStop) {
-			pparts++
-			pregions += int64(p.regions)
-		}
-	}
-	if consulted > 0 {
-		sp.SetPrunable(consulted, pparts, pregions)
-	}
+	return func(chrom string, minStart, maxStop int64) bool {
+		return !w.Prunes(chrom, minStart, maxStop)
+	}, true
 }
 
-// observePrunableJoin records the zone-prunable partitions of a traced JOIN:
-// a partition on a chromosome the other side lacks can never pair, and with
-// a distance upper bound (DLE/DL clauses) a partition farther than the bound
-// from the other side's whole extent cannot either. MD(k) and stream clauses
-// only narrow further, so ignoring them stays sound.
-func observePrunableJoin(sp *obs.Span, left, right *gdm.Dataset, pred GenometricPred) {
-	if sp == nil || left == nil || right == nil {
-		return
-	}
+// joinKeep is JOIN's proof for one side: a partition can pair only if its
+// chromosome appears on the other side and, under a distance upper bound
+// (DLE/DL clauses), its window lies within the bound of the other side's
+// whole-chromosome extent. MD(k) and stream clauses only narrow further, so
+// ignoring them stays sound.
+func joinKeep(other extents, pred GenometricPred) partKeep {
 	bound, hasBound := pred.upperBound()
-	lparts, rparts := zoneParts(left), zoneParts(right)
-	lext, rext := chromExtents(lparts), chromExtents(rparts)
-	consulted, pparts := 0, 0
-	var pregions int64
-	count := func(parts []zonePart, other map[string]chromExtent) {
-		for _, p := range parts {
-			consulted++
-			e, ok := other[p.chrom]
-			prunable := !ok
-			if !prunable && hasBound {
-				prunable = p.minStart > satAdd(e.maxStop, bound) ||
-					p.maxStop < satSub(e.minStart, bound)
-			}
-			if prunable {
-				pparts++
-				pregions += int64(p.regions)
-			}
+	return func(chrom string, minStart, maxStop int64) bool {
+		e, ok := other[chrom]
+		if !ok {
+			return false
 		}
-	}
-	count(lparts, rext)
-	count(rparts, lext)
-	if consulted > 0 {
-		sp.SetPrunable(consulted, pparts, pregions)
+		return !hasBound || minStart <= satAdd(e.maxStop, bound) && maxStop >= satSub(e.minStart, bound)
 	}
 }
 
-// observePrunableMap records the zone-prunable experiment partitions of a
-// traced MAP. Reference regions are always emitted (a zero count is still a
-// row), so only experiment partitions that overlap no reference extent are
-// prunable.
-func observePrunableMap(sp *obs.Span, ref, exp *gdm.Dataset) {
-	if sp == nil || ref == nil || exp == nil {
-		return
-	}
-	rext := chromExtents(zoneParts(ref))
-	eparts := zoneParts(exp)
-	consulted, pparts := 0, 0
-	var pregions int64
-	for _, p := range eparts {
-		consulted++
-		e, ok := rext[p.chrom]
-		if !ok || p.minStart >= e.maxStop || p.maxStop <= e.minStart {
-			pparts++
-			pregions += int64(p.regions)
-		}
-	}
-	if consulted > 0 {
-		sp.SetPrunable(consulted, pparts, pregions)
+// mapKeep is MAP's proof for the experiment side: reference regions are
+// always emitted (a zero count is still a row), so only an experiment
+// partition overlapping some reference extent can change the output.
+func mapKeep(ref extents) partKeep {
+	return func(chrom string, minStart, maxStop int64) bool {
+		e, ok := ref[chrom]
+		return ok && minStart < e.maxStop && maxStop > e.minStart
 	}
 }
 
@@ -167,7 +168,7 @@ func observePrunableMap(sp *obs.Span, ref, exp *gdm.Dataset) {
 // partition whose zone window proves it irrelevant — for columnar datasets
 // the skipped bytes are never read. Soundness rests on two facts: a skipped
 // partition provably contributes zero regions to the pruning operator's
-// output (the same proofs the observePrunable* accounting uses), and pruned
+// output (the same partKeep proofs observePrunable accounts), and pruned
 // reads keep every sample (possibly region-empty), so sample-level semantics
 // — meta filters, sample pairing, zero-count MAP rows — are untouched.
 //
@@ -178,7 +179,7 @@ func observePrunableMap(sp *obs.Span, ref, exp *gdm.Dataset) {
 // prunedScan reads one Scan through the catalog's partition-level path,
 // recording the realized skip accounting on csp (the scan's pre-attached
 // span; nil when untraced).
-func (e *evaluator) prunedScan(pc PrunedCatalog, scan *Scan, csp *obs.Span, keep func(chrom string, minStart, maxStop int64) bool) (*gdm.Dataset, error) {
+func (e *evaluator) prunedScan(pc PrunedCatalog, scan *Scan, csp *obs.Span, keep partKeep) (*gdm.Dataset, error) {
 	start := time.Now()
 	ds, st, err := pc.DatasetPruned(scan.Dataset, keep)
 	if err != nil {
@@ -191,60 +192,30 @@ func (e *evaluator) prunedScan(pc PrunedCatalog, scan *Scan, csp *obs.Span, keep
 	return ds, nil
 }
 
-// windowKeep turns a predicate's zone window into a partition keep function.
-func windowKeep(w catalog.Window) func(chrom string, minStart, maxStop int64) bool {
-	return func(chrom string, minStart, maxStop int64) bool {
-		return !w.Prunes(chrom, minStart, maxStop)
-	}
+// pruner returns the session's pruning catalog when pruning is on.
+func (e *evaluator) pruner() (PrunedCatalog, bool) {
+	pc, ok := e.cat.(PrunedCatalog)
+	return pc, ok && !e.cfg.DisablePruning
 }
 
-// joinKeep keeps a partition that could pair with the other side: its
-// chromosome must appear there, and under a distance upper bound its window
-// must lie within the bound of the other side's whole-chromosome extent.
-func joinKeep(other map[string]chromExtent, bound int64, hasBound bool) func(chrom string, minStart, maxStop int64) bool {
-	return func(chrom string, minStart, maxStop int64) bool {
-		e, ok := other[chrom]
-		if !ok {
-			return false
-		}
-		if hasBound && (minStart > satAdd(e.maxStop, bound) || maxStop < satSub(e.minStart, bound)) {
-			return false
-		}
-		return true
-	}
+// selectPrunable reports whether a SELECT with the given region predicate
+// over input can load input pruned: pruning is on, the input is a Scan and
+// the predicate yields a zone window.
+func (e *evaluator) selectPrunable(region expr.Node, input Node) (PrunedCatalog, *Scan, partKeep, bool) {
+	pc, ok := e.pruner()
+	scan, isScan := input.(*Scan)
+	keep, hasWindow := selectKeep(region)
+	return pc, scan, keep, ok && isScan && hasWindow
 }
 
-// mapKeep keeps an experiment partition that overlaps some reference extent
-// (non-overlapping partitions can only contribute zero counts, which MAP
-// emits anyway).
-func mapKeep(ref map[string]chromExtent) func(chrom string, minStart, maxStop int64) bool {
-	return func(chrom string, minStart, maxStop int64) bool {
-		e, ok := ref[chrom]
-		return ok && minStart < e.maxStop && maxStop > e.minStart
+// prunedScanChild is prunedScan for a scan profiled as a child of sp.
+func (e *evaluator) prunedScanChild(pc PrunedCatalog, scan *Scan, sp *obs.Span, keep partKeep) (*gdm.Dataset, error) {
+	var csp *obs.Span
+	if sp != nil {
+		csp = newSpan(scan, e.cfg)
+		sp.AddChild(csp)
 	}
-}
-
-// statsExtents folds a manifest stats block into per-chromosome extents —
-// the zone view of a dataset that has not been loaded.
-func statsExtents(st *catalog.DatasetStats) map[string]chromExtent {
-	out := make(map[string]chromExtent)
-	for i := range st.Samples {
-		for _, cs := range st.Samples[i].Chroms {
-			e, ok := out[cs.Chrom]
-			if !ok {
-				out[cs.Chrom] = chromExtent{cs.MinStart, cs.MaxStop}
-				continue
-			}
-			if cs.MinStart < e.minStart {
-				e.minStart = cs.MinStart
-			}
-			if cs.MaxStop > e.maxStop {
-				e.maxStop = cs.MaxStop
-			}
-			out[cs.Chrom] = e
-		}
-	}
-	return out
+	return e.prunedScan(pc, scan, csp, keep)
 }
 
 // trySelectPruned handles SELECT directly over a Scan on a pruning catalog:
@@ -254,27 +225,11 @@ func statsExtents(st *catalog.DatasetStats) map[string]chromExtent {
 // also makes caching that output under the SelectOp node (eval's normal
 // wrapper) safe.
 func (e *evaluator) trySelectPruned(op *SelectOp, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if e.cfg.DisablePruning || op.Region == nil {
-		return nil, false, nil
-	}
-	pc, ok := e.cat.(PrunedCatalog)
+	pc, scan, keep, ok := e.selectPrunable(op.Region, op.Input)
 	if !ok {
 		return nil, false, nil
 	}
-	scan, ok := op.Input.(*Scan)
-	if !ok {
-		return nil, false, nil
-	}
-	w, ok := catalog.PredicateWindow(op.Region)
-	if !ok {
-		return nil, false, nil
-	}
-	var csp *obs.Span
-	if sp != nil {
-		csp = newSpan(scan, e.cfg)
-		sp.AddChild(csp)
-	}
-	in, err := e.prunedScan(pc, scan, csp, windowKeep(w))
+	in, err := e.prunedScanChild(pc, scan, sp, keep)
 	if err != nil {
 		return nil, true, err
 	}
@@ -287,26 +242,15 @@ func (e *evaluator) trySelectPruned(op *SelectOp, sp *obs.Span) (*gdm.Dataset, b
 }
 
 // fusedChainSource materializes a fused chain's source. When the innermost
-// chain operator is a SELECT whose region predicate yields a zone window and
-// the source is a Scan on a pruning catalog, the source loads pruned;
-// pruned=true tells the caller the opportunity was realized (its scan span
-// carries skipped= accounting) so the prunable= observation is skipped.
+// chain operator is a SELECT that trySelectPruned could prune, the source
+// loads pruned; pruned=true tells the caller the opportunity was realized
+// (its scan span carries skipped= accounting) so the prunable= observation
+// is skipped.
 func (e *evaluator) fusedChainSource(cur Node, chain []Node, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if !e.cfg.DisablePruning {
-		if pc, ok := e.cat.(PrunedCatalog); ok {
-			if scan, ok := cur.(*Scan); ok {
-				if inner, ok := chain[len(chain)-1].(*SelectOp); ok && inner.Region != nil {
-					if w, ok := catalog.PredicateWindow(inner.Region); ok {
-						var csp *obs.Span
-						if sp != nil {
-							csp = newSpan(scan, e.cfg)
-							sp.AddChild(csp)
-						}
-						src, err := e.prunedScan(pc, scan, csp, windowKeep(w))
-						return src, true, err
-					}
-				}
-			}
+	if inner, ok := chain[len(chain)-1].(*SelectOp); ok {
+		if pc, scan, keep, ok := e.selectPrunable(inner.Region, cur); ok {
+			src, err := e.prunedScanChild(pc, scan, sp, keep)
+			return src, true, err
 		}
 	}
 	src, err := e.evalChild(cur, sp)
@@ -319,15 +263,9 @@ func (e *evaluator) fusedChainSource(cur Node, chain []Node, sp *obs.Span) (*gdm
 // The two inputs evaluate sequentially here even under the stream backend —
 // the experiment's keep function needs the materialized reference.
 func (e *evaluator) tryMapPruned(op *MapOp, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if e.cfg.DisablePruning {
-		return nil, false, nil
-	}
-	pc, ok := e.cat.(PrunedCatalog)
-	if !ok {
-		return nil, false, nil
-	}
-	scan, ok := op.Exp.(*Scan)
-	if !ok {
+	pc, ok := e.pruner()
+	scan, isScan := op.Exp.(*Scan)
+	if !ok || !isScan {
 		return nil, false, nil
 	}
 	var lsp, rsp *obs.Span
@@ -342,7 +280,7 @@ func (e *evaluator) tryMapPruned(op *MapOp, sp *obs.Span) (*gdm.Dataset, bool, e
 	if err != nil {
 		return nil, true, err
 	}
-	exp, err := e.prunedScan(pc, scan, rsp, mapKeep(chromExtents(zoneParts(ref))))
+	exp, err := e.prunedScan(pc, scan, rsp, mapKeep(chromExtents(ref)))
 	if err != nil {
 		return nil, true, err
 	}
@@ -358,19 +296,13 @@ func (e *evaluator) tryMapPruned(op *MapOp, sp *obs.Span) (*gdm.Dataset, bool, e
 // stats could pair with no right region anyway, so the narrowed extents
 // cannot over-prune the right.
 func (e *evaluator) tryJoinPruned(op *JoinOp, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if e.cfg.DisablePruning {
-		return nil, false, nil
-	}
-	pc, ok := e.cat.(PrunedCatalog)
-	if !ok {
-		return nil, false, nil
-	}
+	pc, ok := e.pruner()
 	lscan, lok := op.Left.(*Scan)
 	rscan, rok := op.Right.(*Scan)
-	if !lok && !rok {
+	if !ok || !lok && !rok {
 		return nil, false, nil
 	}
-	bound, hasBound := op.Args.Pred.upperBound()
+	pred := op.Args.Pred
 	var lsp, rsp *obs.Span
 	if sp != nil {
 		lsp, rsp = newSpan(op.Left, e.cfg), newSpan(op.Right, e.cfg)
@@ -379,29 +311,23 @@ func (e *evaluator) tryJoinPruned(op *JoinOp, sp *obs.Span) (*gdm.Dataset, bool,
 	}
 	var l, r *gdm.Dataset
 	var err error
-	switch {
-	case lok && rok:
-		if st, ok := pc.Stats(rscan.Dataset); ok {
-			l, err = e.prunedScan(pc, lscan, lsp, joinKeep(statsExtents(st), bound, hasBound))
+	if !rok {
+		if r, err = e.eval(op.Right, rsp); err == nil {
+			l, err = e.prunedScan(pc, lscan, lsp, joinKeep(chromExtents(r), pred))
+		}
+	} else {
+		st, ok := (*catalog.DatasetStats)(nil), false
+		if lok {
+			st, ok = pc.Stats(rscan.Dataset)
+		}
+		if ok {
+			l, err = e.prunedScan(pc, lscan, lsp, joinKeep(statsExtents(st), pred))
 		} else {
 			l, err = e.eval(op.Left, lsp)
 		}
-		if err != nil {
-			return nil, true, err
+		if err == nil {
+			r, err = e.prunedScan(pc, rscan, rsp, joinKeep(chromExtents(l), pred))
 		}
-		r, err = e.prunedScan(pc, rscan, rsp, joinKeep(chromExtents(zoneParts(l)), bound, hasBound))
-	case lok:
-		r, err = e.eval(op.Right, rsp)
-		if err != nil {
-			return nil, true, err
-		}
-		l, err = e.prunedScan(pc, lscan, lsp, joinKeep(chromExtents(zoneParts(r)), bound, hasBound))
-	default:
-		l, err = e.eval(op.Left, lsp)
-		if err != nil {
-			return nil, true, err
-		}
-		r, err = e.prunedScan(pc, rscan, rsp, joinKeep(chromExtents(zoneParts(l)), bound, hasBound))
 	}
 	if err != nil {
 		return nil, true, err

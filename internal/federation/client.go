@@ -267,7 +267,7 @@ func (c *Client) execute(ctx context.Context, script, varName string, user *gdm.
 		if err := formats.EncodeDataset(&buf, user); err != nil {
 			return QueryResponse{}, fmt.Errorf("federation: encoding user dataset: %w", err)
 		}
-		req.UserDataset = buf.String()
+		req.UserDataset = buf.Bytes()
 	}
 	var out QueryResponse
 	if err := c.postJSON(ctx, "/query", req, &out); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"genogo/internal/engine"
 	"genogo/internal/gdm"
+	"genogo/internal/gmql"
 	"genogo/internal/synth"
 )
 
@@ -359,13 +360,64 @@ MATERIALIZE HITS;
 	_ = srv
 }
 
+// TestUserDatasetExactValues: a user dataset whose strings the text layout
+// cannot carry (".", "NULL", "null", "", tabs, newlines — in values and in
+// metadata) travels to the node and back through FETCH, and the federated
+// result equals local evaluation value for value.
+func TestUserDatasetExactValues(t *testing.T) {
+	_, ts := newNode(t, "node1", 14, 4)
+	c := NewClient(ts.URL)
+	user := gdm.NewDataset("MY_DATA", gdm.MustSchema(
+		gdm.Field{Name: "name", Type: gdm.KindString},
+		gdm.Field{Name: "score", Type: gdm.KindFloat},
+	))
+	s := gdm.NewSample("mine")
+	s.Meta.Add("note", "tab\there")
+	s.Meta.Add("note", "two\nlines")
+	for i, str := range []string{".", "NULL", "null", "", "a\tb", "a\nb"} {
+		s.AddRegion(gdm.NewRegion("chr1", int64(100*i), int64(100*i+50), gdm.StrandPlus, gdm.Str(str), gdm.Float(0.5)))
+	}
+	s.AddRegion(gdm.NewRegion("chr2", 0, 10, gdm.StrandNone, gdm.Null(), gdm.Null()))
+	user.MustAdd(s)
+
+	script := `X = SELECT() MY_DATA; MATERIALIZE X;`
+	prog, err := gmql.Parse(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := &gmql.Runner{Config: engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+		Catalog: engine.MapCatalog{"MY_DATA": user}}
+	want, err := local.Eval(prog, "X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := c.ExecuteWithUserData(context.Background(), script, "X", user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.FetchAll(context.Background(), qr.ResultID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.ContentDigest(), want.ContentDigest(); g != w {
+		t.Fatalf("federated digest %s != local %s", g, w)
+	}
+	for j, r := range got.Samples[0].Regions {
+		for k, v := range r.Values {
+			if wv := want.Samples[0].Regions[j].Values[k]; v.Kind() != wv.Kind() || v.Str() != wv.Str() {
+				t.Errorf("region %d value %d = %s %q, want %s %q", j, k, v.Kind(), v, wv.Kind(), wv)
+			}
+		}
+	}
+}
+
 func TestUserDatasetCorrupt(t *testing.T) {
 	_, ts := newNode(t, "node1", 13, 4)
 	c := NewClient(ts.URL)
 	var out QueryResponse
 	err := c.postJSON(context.Background(), "/query", QueryRequest{
 		Script: `X = SELECT() ENCODE; MATERIALIZE X;`, Var: "X",
-		UserDataset: "GARBAGE",
+		UserDataset: []byte("GARBAGE"),
 	}, &out)
 	if err != nil {
 		t.Fatal(err)

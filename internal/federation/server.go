@@ -5,13 +5,14 @@
 // retrieval so the requester controls staging resources and communication
 // load.
 //
-// The protocol is HTTP+JSON for control messages and the native GDM stream
-// encoding for dataset payloads, exactly the three interactions the paper
+// The protocol is HTTP+JSON for control messages and the binary dataset
+// wire stream (formats.EncodeDataset) for dataset payloads, exactly the three interactions the paper
 // lists: dataset information, query compilation with result-size estimates,
 // and execution with controlled result transmission.
 package federation
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,13 +66,13 @@ type CompileResponse struct {
 //
 // UserDataset optionally carries a private input dataset of the requester
 // (Section 4.3: "it will be possible to provide user input samples to the
-// services, whose privacy will be protected"): the GDM stream encoding of a
-// dataset that joins the node's catalog for this request only — it is never
-// listed, stored, or visible to other requests.
+// services, whose privacy will be protected"): the wire stream of a dataset
+// (base64 in JSON) that joins the node's catalog for this request only — it
+// is never listed, stored, or visible to other requests.
 type QueryRequest struct {
 	Script      string `json:"script"`
 	Var         string `json:"var"`
-	UserDataset string `json:"user_dataset,omitempty"` // formats.EncodeDataset output
+	UserDataset []byte `json:"user_dataset,omitempty"` // formats.EncodeDataset output
 	// Profile asks the node to record an execution span tree and return it
 	// in QueryResponse.Profile — EXPLAIN ANALYZE over the federation wire.
 	Profile bool `json:"profile,omitempty"`
@@ -386,9 +387,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	catalog := s.catalog()
-	if req.UserDataset != "" {
+	if len(req.UserDataset) > 0 {
 		// The private dataset lives only in this request's catalog copy.
-		user, err := formats.DecodeDataset(strings.NewReader(req.UserDataset))
+		user, err := formats.DecodeDataset(bytes.NewReader(req.UserDataset))
 		if err != nil {
 			fail(http.StatusOK, "user dataset: "+err.Error())
 			return

@@ -61,9 +61,8 @@ const columnarExt = ".gdmc"
 // columnarMagic opens every .gdmc file.
 var columnarMagic = []byte("GDMC01")
 
-// Hostile-input bounds for the columnar decoder, in the spirit of the text
-// decoder's: a crafted file must fail with a typed error, not drive a huge
-// allocation.
+// Hostile-input bounds for the columnar decoder: a crafted file must fail
+// with a typed error, not drive a huge allocation.
 const (
 	// maxColumnarParts caps the partitions one sample file may declare.
 	maxColumnarParts = 1 << 20
@@ -105,11 +104,19 @@ func appendUint64(b []byte, v uint64) []byte { return binary.LittleEndian.Append
 // genomic order for canonically sorted samples); a region's attribute arity
 // must match the schema's.
 func encodeColumnarSample(s *gdm.Sample, arity int) ([]byte, error) {
+	return appendColumnarSample(nil, s, arity)
+}
+
+// appendColumnarSample appends the sample's .gdmc image to dst, so a caller
+// encoding many samples can reuse one buffer.
+func appendColumnarSample(dst []byte, s *gdm.Sample, arity int) ([]byte, error) {
 	type partBuild struct {
 		chrom    string
 		idx      []int32
 		minStart int64
 		maxStop  int64
+		length   int64
+		crc      uint32
 	}
 	var parts []*partBuild
 	byChrom := make(map[string]*partBuild)
@@ -126,18 +133,14 @@ func encodeColumnarSample(s *gdm.Sample, arity int) ([]byte, error) {
 			parts = append(parts, p)
 		}
 		p.idx = append(p.idx, int32(i))
-		if r.Start < p.minStart {
-			p.minStart = r.Start
-		}
-		if r.Stop > p.maxStop {
-			p.maxStop = r.Stop
-		}
+		p.minStart, p.maxStop = min(p.minStart, r.Start), max(p.maxStop, r.Stop)
 	}
 	if len(parts) > maxColumnarParts {
 		return nil, fmt.Errorf("columnar: sample %s has %d partitions, limit %d", s.ID, len(parts), maxColumnarParts)
 	}
 
-	// The index size is needed before payload offsets can be assigned.
+	// The index size is known from the chromosome names alone, so the index
+	// is reserved first and filled in once the payloads have their offsets.
 	indexLen := int64(columnarHeaderLen)
 	for _, p := range parts {
 		if len(p.chrom) > maxColumnarChrom {
@@ -146,74 +149,72 @@ func encodeColumnarSample(s *gdm.Sample, arity int) ([]byte, error) {
 		indexLen += columnarEntryFixed + int64(len(p.chrom))
 	}
 	indexLen += 4 // index crc
+	base := len(dst)
+	dst = append(dst, make([]byte, indexLen)...)
 
 	// Payload sections, one per partition.
-	payloads := make([][]byte, len(parts))
-	for pi, p := range parts {
-		n := len(p.idx)
-		buf := make([]byte, 0, int64(n)*minRegionBytes(arity))
+	for _, p := range parts {
+		start := len(dst)
 		for _, ri := range p.idx {
-			buf = appendUint64(buf, uint64(s.Regions[ri].Start))
+			dst = appendUint64(dst, uint64(s.Regions[ri].Start))
 		}
 		for _, ri := range p.idx {
-			buf = appendUint64(buf, uint64(s.Regions[ri].Stop))
+			dst = appendUint64(dst, uint64(s.Regions[ri].Stop))
 		}
 		for _, ri := range p.idx {
-			buf = append(buf, byte(int8(s.Regions[ri].Strand)))
+			dst = append(dst, byte(int8(s.Regions[ri].Strand)))
 		}
 		for ai := 0; ai < arity; ai++ {
 			for _, ri := range p.idx {
 				v := s.Regions[ri].Values[ai]
-				buf = append(buf, byte(v.Kind()))
+				dst = append(dst, byte(v.Kind()))
 				switch v.Kind() {
 				case gdm.KindNull:
 				case gdm.KindInt:
-					buf = appendUint64(buf, uint64(v.Int()))
+					dst = appendUint64(dst, uint64(v.Int()))
 				case gdm.KindFloat:
-					buf = appendUint64(buf, math.Float64bits(v.Float()))
+					dst = appendUint64(dst, math.Float64bits(v.Float()))
 				case gdm.KindString:
 					str := v.Str()
 					if int64(len(str)) > math.MaxUint32 {
 						return nil, fmt.Errorf("columnar: sample %s: string value exceeds encodable length", s.ID)
 					}
-					buf = appendUint32(buf, uint32(len(str)))
-					buf = append(buf, str...)
+					dst = appendUint32(dst, uint32(len(str)))
+					dst = append(dst, str...)
 				case gdm.KindBool:
 					if v.Bool() {
-						buf = append(buf, 1)
+						dst = append(dst, 1)
 					} else {
-						buf = append(buf, 0)
+						dst = append(dst, 0)
 					}
 				default:
 					return nil, fmt.Errorf("columnar: sample %s: unencodable value kind %d", s.ID, v.Kind())
 				}
 			}
 		}
-		payloads[pi] = buf
+		p.length = int64(len(dst) - start)
+		p.crc = crc32.Checksum(dst[start:], castagnoli)
 	}
 
-	// Header + index.
-	out := make([]byte, 0, indexLen)
+	// Header + index, written into the reserved window.
+	out := dst[base : base : base+int(indexLen)]
 	out = append(out, columnarMagic...)
 	out = appendUint16(out, uint16(arity))
 	out = appendUint32(out, uint32(len(parts)))
 	offset := indexLen
-	for pi, p := range parts {
+	for _, p := range parts {
 		out = appendUint16(out, uint16(len(p.chrom)))
 		out = append(out, p.chrom...)
 		out = appendUint32(out, uint32(len(p.idx)))
 		out = appendUint64(out, uint64(p.minStart))
 		out = appendUint64(out, uint64(p.maxStop))
 		out = appendUint64(out, uint64(offset))
-		out = appendUint64(out, uint64(len(payloads[pi])))
-		out = appendUint32(out, crc32.Checksum(payloads[pi], castagnoli))
-		offset += int64(len(payloads[pi]))
+		out = appendUint64(out, uint64(p.length))
+		out = appendUint32(out, p.crc)
+		offset += p.length
 	}
-	out = appendUint32(out, crc32.Checksum(out, castagnoli))
-	for _, pl := range payloads {
-		out = append(out, pl...)
-	}
-	return out, nil
+	appendUint32(out, crc32.Checksum(out, castagnoli)) // the window's last 4 bytes
+	return dst, nil
 }
 
 // writeColumnarFile materializes one sample's .gdmc, fsynced, and returns its
@@ -356,7 +357,9 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 // and decodes it, appending the regions to s. Attribute kinds must match the
 // schema (or be null) — a mismatch is corruption, never a silent coercion.
 func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, schema *gdm.Schema, s *gdm.Sample) *IntegrityError {
+	base := len(s.Regions)
 	fail := func(reason FaultReason, detail string) *IntegrityError {
+		s.Regions = s.Regions[:base]
 		return &IntegrityError{Dataset: dataset, Path: path, Reason: reason,
 			Detail: fmt.Sprintf("partition %s: %s", p.Chrom, detail)}
 	}
@@ -374,10 +377,13 @@ func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, sc
 	starts := payload[:n*8]
 	stops := payload[n*8 : n*16]
 	strands := payload[n*16 : n*17]
-	base := len(s.Regions)
 	s.Regions = append(s.Regions, make([]gdm.Region, n)...)
 	regs := s.Regions[base:]
 	values := make([]gdm.Value, n*arity)
+	// The writer records each partition's tight zone window, so a region
+	// outside it (a lying window would make pruning silently wrong), a looser
+	// window or an empty partition is not a file it produced.
+	minStart, maxStop := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := 0; i < n; i++ {
 		var strand gdm.Strand
 		switch int8(strands[i]) {
@@ -388,7 +394,6 @@ func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, sc
 		case -1:
 			strand = gdm.StrandMinus
 		default:
-			s.Regions = s.Regions[:base]
 			return fail(ReasonParse, fmt.Sprintf("region %d has strand byte %d", i, int8(strands[i])))
 		}
 		regs[i] = gdm.Region{
@@ -398,62 +403,59 @@ func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, sc
 			Strand: strand,
 			Values: values[i*arity : (i+1)*arity : (i+1)*arity],
 		}
+		minStart, maxStop = min(minStart, regs[i].Start), max(maxStop, regs[i].Stop)
 	}
-	// Attribute columns, column-major.
+	if minStart != p.MinStart || maxStop != p.MaxStop {
+		return fail(ReasonParse, "declared zone window is not the regions' extent")
+	}
+	// Attribute columns, column-major. take consumes k bytes of the block.
 	cur := payload[n*17:]
+	take := func(k int) ([]byte, bool) {
+		if k > len(cur) {
+			return nil, false
+		}
+		b := cur[:k]
+		cur = cur[k:]
+		return b, true
+	}
 	for ai := 0; ai < arity; ai++ {
 		want := schema.Field(ai).Type
 		for i := 0; i < n; i++ {
-			if len(cur) < 1 {
-				s.Regions = s.Regions[:base]
+			tag, ok := take(1)
+			if !ok {
 				return fail(ReasonParse, "attribute block truncated")
 			}
-			kind := gdm.Kind(cur[0])
-			cur = cur[1:]
+			kind := gdm.Kind(tag[0])
 			var v gdm.Value
+			var b []byte
 			switch kind {
 			case gdm.KindNull:
-				v = gdm.Null()
 			case gdm.KindInt:
-				if len(cur) < 8 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
+				if b, ok = take(8); ok {
+					v = gdm.Int(int64(binary.LittleEndian.Uint64(b)))
 				}
-				v = gdm.Int(int64(binary.LittleEndian.Uint64(cur)))
-				cur = cur[8:]
 			case gdm.KindFloat:
-				if len(cur) < 8 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
+				if b, ok = take(8); ok {
+					v = gdm.Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
 				}
-				v = gdm.Float(math.Float64frombits(binary.LittleEndian.Uint64(cur)))
-				cur = cur[8:]
 			case gdm.KindString:
-				if len(cur) < 4 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
+				if b, ok = take(4); ok {
+					if b, ok = take(int(binary.LittleEndian.Uint32(b))); ok {
+						v = gdm.Str(string(b))
+					}
 				}
-				slen := int(binary.LittleEndian.Uint32(cur))
-				cur = cur[4:]
-				if slen > len(cur) {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, fmt.Sprintf("string value declares %d bytes, %d remain", slen, len(cur)))
-				}
-				v = gdm.Str(string(cur[:slen]))
-				cur = cur[slen:]
 			case gdm.KindBool:
-				if len(cur) < 1 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
+				if b, ok = take(1); ok && b[0] > 1 {
+					return fail(ReasonParse, fmt.Sprintf("attribute %d region %d has bool byte %d", ai, i, b[0]))
 				}
-				v = gdm.Bool(cur[0] != 0)
-				cur = cur[1:]
+				v = gdm.Bool(ok && b[0] == 1)
 			default:
-				s.Regions = s.Regions[:base]
 				return fail(ReasonParse, fmt.Sprintf("attribute %d region %d has kind tag %d", ai, i, kind))
 			}
+			if !ok {
+				return fail(ReasonParse, "attribute block truncated")
+			}
 			if kind != gdm.KindNull && kind != want {
-				s.Regions = s.Regions[:base]
 				return fail(ReasonParse, fmt.Sprintf("attribute %q is %s, schema wants %s",
 					schema.Field(ai).Name, kind, want))
 			}
@@ -461,24 +463,16 @@ func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, sc
 		}
 	}
 	if len(cur) != 0 {
-		s.Regions = s.Regions[:base]
 		return fail(ReasonParse, fmt.Sprintf("%d trailing bytes after attribute block", len(cur)))
-	}
-	// The decoded regions must actually lie inside the zone window the index
-	// declares — a lying window would make pruning silently wrong, so it is
-	// corruption.
-	for i := range regs {
-		if regs[i].Start < p.MinStart || regs[i].Stop > p.MaxStop {
-			s.Regions = s.Regions[:base]
-			return fail(ReasonParse, fmt.Sprintf("region %d outside declared zone window", i))
-		}
 	}
 	return nil
 }
 
 // decodeColumnarSample decodes a whole in-memory .gdmc image into a sample —
-// the full-read path (and the fuzz target's core). Every section checksum is
-// verified.
+// the full-read path, the wire stream's region codec and the fuzz target's
+// core. Every section checksum is verified, and only images the encoder can
+// produce decode (one partition per chromosome, tight zone windows), so a
+// decoded sample re-encodes to the same bytes.
 func decodeColumnarSample(dataset, path, id string, data []byte, schema *gdm.Schema) (*gdm.Sample, *IntegrityError) {
 	ci, ie := parseColumnarIndex(dataset, path, bytes.NewReader(data), int64(len(data)))
 	if ie != nil {
@@ -488,7 +482,20 @@ func decodeColumnarSample(dataset, path, id string, data []byte, schema *gdm.Sch
 		return nil, &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonParse,
 			Detail: fmt.Sprintf("file declares %d attributes, schema has %d", ci.Arity, schema.Len())}
 	}
+	seen := make(map[string]bool, len(ci.Parts))
+	for _, p := range ci.Parts {
+		if seen[p.Chrom] {
+			return nil, &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonParse,
+				Detail: fmt.Sprintf("chromosome %s has two partitions", p.Chrom)}
+		}
+		seen[p.Chrom] = true
+	}
 	s := gdm.NewSample(id)
+	n := 0
+	for _, p := range ci.Parts {
+		n += p.Regions
+	}
+	s.Regions = make([]gdm.Region, 0, n)
 	var end int64 = ci.IndexLen
 	for _, p := range ci.Parts {
 		if ie := decodeColumnarPart(dataset, path, p, data[p.Offset:p.Offset+p.Length], schema, s); ie != nil {

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -408,79 +409,122 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	}
 }
 
-// TestStreamChecksumDetectsBitFlip: a flipped byte in transit fails the
-// decode via the GDMSUM trailer even when the damage still parses.
-func TestStreamChecksumDetectsBitFlip(t *testing.T) {
+// encodeStream is the wire stream of ds.
+func encodeStream(t *testing.T, ds *gdm.Dataset) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeDataset(&buf, testDataset(t)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	i := bytes.Index(data, []byte("CTCF"))
-	if i < 0 {
-		t.Fatal("marker not in stream")
-	}
-	data[i] = 'X' // still parses as metadata, only the checksum can tell
-	_, err := DecodeDataset(bytes.NewReader(data))
-	wantIntegrityError(t, err, ReasonChecksum)
-}
-
-// TestStreamTruncationDetected: cutting the stream anywhere before the
-// trailer fails the decode — either a header runs out or the trailer is gone
-// and record counts do not add up.
-func TestStreamTruncationDetected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeDataset(&buf, testDataset(t)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := DecodeDataset(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Fatal("half a stream decoded without error")
-	}
-}
-
-// TestStreamLegacyTrailerless: streams from pre-trailer writers decode.
-func TestStreamLegacyTrailerless(t *testing.T) {
-	var buf bytes.Buffer
-	ds := testDataset(t)
 	if err := EncodeDataset(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	i := bytes.LastIndex(data, []byte("GDMSUM"))
-	got, err := DecodeDataset(bytes.NewReader(data[:i]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsEqual(t, ds, got)
+	return buf.Bytes()
 }
 
-// TestDecodeHostileCounts: declared counts beyond the caps are parse errors,
-// not allocations.
-func TestDecodeHostileCounts(t *testing.T) {
-	hostile := []string{
-		"GDMv1\tX\t99999999999999\n",
-		"GDMv1\tX\t-3\n",
-		"GDMv1\tX\t1\nSCHEMA\t999999999\n",
-		"GDMv1\tX\t1\nSCHEMA\t1\np\tfloat\nSAMPLE\ts\t99999999999\t0\n",
-		"GDMv1\tX\t1\nSCHEMA\t1\np\tfloat\nSAMPLE\ts\t0\t99999999999\n",
+// TestStreamChecksumDetectsBitFlip: a flipped bit anywhere in the stream
+// fails the decode with a typed error. A flip in metadata still parses, so
+// only the whole-stream trailer can tell; a flip in a region payload is
+// caught by that partition's own CRC.
+func TestStreamChecksumDetectsBitFlip(t *testing.T) {
+	data := encodeStream(t, testDataset(t))
+	for i := range data {
+		for bit := 0; bit < 8; bit++ {
+			m := append([]byte(nil), data...)
+			m[i] ^= 1 << bit
+			var ie *IntegrityError
+			if _, err := DecodeDataset(bytes.NewReader(m)); !errors.As(err, &ie) {
+				t.Fatalf("bit %d of byte %d flipped: want *IntegrityError, have %v", bit, i, err)
+			}
+		}
 	}
-	for _, h := range hostile {
-		if _, err := DecodeDataset(strings.NewReader(h)); err == nil {
-			t.Errorf("hostile stream %q decoded without error", h)
+	m := append([]byte(nil), data...)
+	m[bytes.Index(m, []byte("CTCF"))] = 'X'
+	_, err := DecodeDataset(bytes.NewReader(m))
+	wantIntegrityError(t, err, ReasonChecksum)
+	m = append([]byte(nil), data...)
+	m[bytes.LastIndex(m, []byte("p1"))+1] = '2'
+	_, err = DecodeDataset(bytes.NewReader(m))
+	if ie := wantIntegrityError(t, err, ReasonChecksum); !strings.Contains(ie.Detail, "partition chr1") {
+		t.Errorf("payload flip not caught by the partition CRC: %v", ie)
+	}
+}
+
+// TestStreamTruncationDetected: cutting the stream anywhere — at every
+// section boundary and inside every section — fails with a typed truncation
+// error.
+func TestStreamTruncationDetected(t *testing.T) {
+	data := encodeStream(t, wireTrickyDataset())
+	for n := 0; n < len(data); n++ {
+		_, err := DecodeDataset(bytes.NewReader(data[:n]))
+		var ie *IntegrityError
+		if !errors.As(err, &ie) || ie.Reason != ReasonTruncated {
+			t.Fatalf("stream cut at %d of %d bytes: want truncated, have %v", n, len(data), err)
 		}
 	}
 }
 
-// TestDecodeHostileLineLength: one absurdly long line is an error, not a
-// multi-gigabyte buffer.
-func TestDecodeHostileLineLength(t *testing.T) {
-	r := io.MultiReader(
-		strings.NewReader("GDMv1\tX\t1\nSCHEMA\t1\n"),
-		strings.NewReader(strings.Repeat("a", maxDecodeLineBytes+2)),
-	)
-	if _, err := DecodeDataset(r); err == nil {
-		t.Fatal("oversized line decoded without error")
+// TestStreamMissingTrailerFails: the trailer is mandatory; a stream without
+// it no longer decodes.
+func TestStreamMissingTrailerFails(t *testing.T) {
+	data := encodeStream(t, testDataset(t))
+	_, err := DecodeDataset(bytes.NewReader(data[:len(data)-4]))
+	if ie := wantIntegrityError(t, err, ReasonTruncated); !strings.Contains(ie.Detail, "trailer") {
+		t.Errorf("detail = %q, want the trailer named", ie.Detail)
+	}
+}
+
+// TestStreamTrailingBytesFail: nothing may follow the trailer.
+func TestStreamTrailingBytesFail(t *testing.T) {
+	data := append(encodeStream(t, testDataset(t)), "GDMSUM\tcrc32c:00000000\n"...)
+	_, err := DecodeDataset(bytes.NewReader(data))
+	wantIntegrityError(t, err, ReasonParse)
+}
+
+// decodeAllocBytes decodes data and reports how many heap bytes it took.
+func decodeAllocBytes(t *testing.T, data []byte) (uint64, error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeDataset(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestDecodeHostileCounts: declared counts far beyond the records present
+// are truncation errors, not allocations — even behind a valid trailer.
+func TestDecodeHostileCounts(t *testing.T) {
+	huge := appendUint32(nil, math.MaxUint32)
+	hostile := map[string][]byte{
+		"samples":        wireStream(wireHeader("X", nil), huge),
+		"schema fields":  wireStream(appendWireString([]byte("GDMW01"), "X"), appendUint32(nil, maxSchemaFields)),
+		"metadata pairs": wireStream(wireHeader("X", nil), appendUint32(nil, 1), appendWireString(nil, "s"), huge),
+	}
+	for name, data := range hostile {
+		n, err := decodeAllocBytes(t, data)
+		wantIntegrityError(t, err, ReasonTruncated)
+		if n > 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes for a %d-byte stream", name, n, len(data))
+		}
+	}
+	_, err := DecodeDataset(bytes.NewReader(wireStream(appendWireString([]byte("GDMW01"), "X"), huge)))
+	wantIntegrityError(t, err, ReasonParse)
+}
+
+// TestDecodeHostileLengths: declared string and image lengths far beyond the
+// bytes present are errors, not allocations.
+func TestDecodeHostileLengths(t *testing.T) {
+	hostile := map[string][]byte{
+		"name":      wireStream([]byte("GDMW01"), appendUint32(nil, math.MaxUint32)),
+		"sample ID": wireStream(wireHeader("X", nil), appendUint32(nil, 1), appendUint32(nil, math.MaxUint32)),
+		"image": wireStream(wireHeader("X", nil), appendUint32(nil, 1), appendWireString(nil, "s"),
+			appendUint32(nil, 0), appendUint64(nil, math.MaxUint64)),
+	}
+	for name, data := range hostile {
+		n, err := decodeAllocBytes(t, data)
+		if ie := wantIntegrityError(t, err, ReasonTruncated); !strings.Contains(ie.Detail, name) {
+			t.Errorf("%s: fault names the wrong record: %v", name, ie)
+		}
+		if n > 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes for a %d-byte stream", name, n, len(data))
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package formats
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -194,8 +197,81 @@ func TestReadDatasetMissing(t *testing.T) {
 	}
 }
 
+// wireTrickyDataset holds every value kind, the strings the text layout
+// cannot carry exactly, and metadata and sample IDs with tabs and newlines.
+func wireTrickyDataset() *gdm.Dataset {
+	ds := gdm.NewDataset("TRICKY\tname", gdm.MustSchema(
+		gdm.Field{Name: "hits", Type: gdm.KindInt},
+		gdm.Field{Name: "p", Type: gdm.KindFloat},
+		gdm.Field{Name: "name", Type: gdm.KindString},
+		gdm.Field{Name: "ok", Type: gdm.KindBool},
+	))
+	s := gdm.NewSample("id\twith\ntabs")
+	s.Meta.Add("note", "a\tb")
+	s.Meta.Add("note", "line1\nline2")
+	s.Meta.Add("key\twith\ttabs", "NULL")
+	s.Meta.Add("empty", "")
+	for i, str := range []string{".", "NULL", "null", "", "a\tb", "a\nb"} {
+		s.AddRegion(gdm.NewRegion("chr1", int64(10*i), int64(10*i+5), gdm.StrandPlus,
+			gdm.Int(int64(i)-3), gdm.Float(float64(i)/7), gdm.Str(str), gdm.Bool(i%2 == 0)))
+	}
+	s.AddRegion(gdm.NewRegion("chrX", 0, 1, gdm.StrandMinus, gdm.Null(), gdm.Null(), gdm.Null(), gdm.Null()))
+	ds.MustAdd(s)
+	ds.MustAdd(gdm.NewSample("no regions"))
+	return ds
+}
+
+// valuesIdentical fails unless every region value of got equals want's kind
+// for kind — stricter than datasetsEqual, which compares rendered text.
+func valuesIdentical(t *testing.T, want, got *gdm.Dataset) {
+	t.Helper()
+	for i, ws := range want.Samples {
+		gs := got.Samples[i]
+		for j := range ws.Regions {
+			for k, wv := range ws.Regions[j].Values {
+				gv := gs.Regions[j].Values[k]
+				if gv.Kind() != wv.Kind() || !gdm.Equal(gv, wv) || gv.Str() != wv.Str() {
+					t.Fatalf("sample %q region %d value %d: %s %q, want %s %q",
+						ws.ID, j, k, gv.Kind(), gv, wv.Kind(), wv)
+				}
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeDataset(t *testing.T) {
-	ds := testDataset(t)
+	for _, ds := range []*gdm.Dataset{testDataset(t), wireTrickyDataset()} {
+		var buf bytes.Buffer
+		if err := EncodeDataset(&buf, ds); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeDataset(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != ds.Name {
+			t.Errorf("name = %q", got.Name)
+		}
+		datasetsEqual(t, ds, got)
+		valuesIdentical(t, ds, got)
+	}
+}
+
+// TestEncodeGroupsInterleavedChromosomes pins the .gdmc grouping rule on the
+// wire: regions group by chromosome in order of first appearance, keeping
+// their order within a chromosome.
+func TestEncodeGroupsInterleavedChromosomes(t *testing.T) {
+	ds := gdm.NewDataset("MIXED", nil)
+	s := gdm.NewSample("s")
+	for _, r := range []gdm.Region{
+		gdm.NewRegion("chr2", 500, 600, gdm.StrandNone),
+		gdm.NewRegion("chr1", 300, 400, gdm.StrandNone),
+		gdm.NewRegion("chr2", 100, 200, gdm.StrandNone),
+		gdm.NewRegion("chr1", 100, 200, gdm.StrandNone),
+	} {
+		s.AddRegion(r)
+	}
+	ds.MustAdd(s)
 	var buf bytes.Buffer
 	if err := EncodeDataset(&buf, ds); err != nil {
 		t.Fatal(err)
@@ -204,10 +280,15 @@ func TestEncodeDecodeDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != ds.Name {
-		t.Errorf("name = %q", got.Name)
+	want := []string{"chr2:500-600", "chr2:100-200", "chr1:300-400", "chr1:100-200"}
+	if len(got.Samples[0].Regions) != len(want) {
+		t.Fatalf("regions = %v, want %v", got.Samples[0].Regions, want)
 	}
-	datasetsEqual(t, ds, got)
+	for i, r := range got.Samples[0].Regions {
+		if have := fmt.Sprintf("%s:%d-%d", r.Chrom, r.Start, r.Stop); have != want[i] {
+			t.Errorf("region %d = %s, want %s (all: %v)", i, have, want[i], got.Samples[0].Regions)
+		}
+	}
 }
 
 func TestEncodeDecodeEmptyDataset(t *testing.T) {
@@ -225,22 +306,77 @@ func TestEncodeDecodeEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestDecodeDatasetErrors: streams that are not the binary framing — the
+// retired text stream among them — fail with a typed error.
 func TestDecodeDatasetErrors(t *testing.T) {
-	bad := []string{
-		"",                                       // empty
-		"NOPE\tx\t0\n",                           // bad magic
-		"GDMv1\tx\tzz\n",                         // bad count
-		"GDMv1\tx\t0\n",                          // missing schema header
-		"GDMv1\tx\t0\nSCHEMA\tzz\n",              // bad schema count
-		"GDMv1\tx\t1\nSCHEMA\t0\n",               // missing sample
-		"GDMv1\tx\t1\nSCHEMA\t0\nBAD\ts\t0\t0\n", // bad sample tag
-		"GDMv1\tx\t1\nSCHEMA\t0\nSAMPLE\ts\tzz\t0\n", // bad meta count
-		"GDMv1\tx\t1\nSCHEMA\t0\nSAMPLE\ts\t0\tzz\n", // bad region count
-		"GDMv1\tx\t1\nSCHEMA\t0\nSAMPLE\ts\t0\t1\n",  // missing region line
+	var good bytes.Buffer
+	if err := EncodeDataset(&good, testDataset(t)); err != nil {
+		t.Fatal(err)
 	}
-	for _, text := range bad {
-		if _, err := DecodeDataset(strings.NewReader(text)); err == nil {
-			t.Errorf("DecodeDataset(%q) succeeded", text)
+	meta := func(pairs ...[2]string) []byte {
+		return wireStream(wireHeader("X", nil), appendUint32(nil, 1), wireSample("s", pairs, emptyImage(t)))
+	}
+	bad := []struct {
+		data   []byte
+		detail string
+	}{
+		{nil, "magic needs 6 bytes"},
+		{[]byte("GDMW"), "magic needs 6 bytes"},
+		{append([]byte("GDMX01"), good.Bytes()[6:]...), "bad magic"},
+		{[]byte("GDMv1\tx\t0\nSCHEMA\t0\nGDMSUM\tcrc32c:00000000\n"), "bad magic"},
+		{wireHeader("X", nil), "sample count needs 4 bytes"},
+		{wireStream(wireHeader("X", []byte{9}), appendUint32(nil, 0)), "kind tag 9"},
+		{wireStream(wireHeader("X", nil), appendUint32(nil, 1), wireSample("", nil, emptyImage(t))), "empty ID"},
+		{meta([2]string{"b", "1"}, [2]string{"a", "1"}), "out of order"},
+		{meta([2]string{"a", "1"}, [2]string{"a", "1"}), "out of order"},
+		{wireStream(wireHeader("X", []byte{byte(gdm.KindInt)}), appendUint32(nil, 1), wireSample("s", nil, emptyImage(t))),
+			"schema has 1"},
+	}
+	for _, c := range bad {
+		_, err := DecodeDataset(bytes.NewReader(c.data))
+		var ie *IntegrityError
+		if !errors.As(err, &ie) || !strings.Contains(ie.Detail, c.detail) {
+			t.Errorf("DecodeDataset(%q) = %v, want an *IntegrityError naming %q", c.data, err, c.detail)
 		}
 	}
+}
+
+// wireHeader is a stream's magic, name and schema (fields f0, f1, ... of the
+// given kind bytes), ready for a sample count.
+func wireHeader(name string, kinds []byte) []byte {
+	b := appendWireString(append([]byte(nil), wireMagic...), name)
+	b = appendUint32(b, uint32(len(kinds)))
+	for i, k := range kinds {
+		b = append(appendWireString(b, fmt.Sprintf("f%d", i)), k)
+	}
+	return b
+}
+
+// wireSample is one framed sample record around a regions image.
+func wireSample(id string, pairs [][2]string, img []byte) []byte {
+	b := appendUint32(appendWireString(nil, id), uint32(len(pairs)))
+	for _, p := range pairs {
+		b = appendWireString(appendWireString(b, p[0]), p[1])
+	}
+	return append(appendUint64(b, uint64(len(img))), img...)
+}
+
+// wireStream joins sections and appends a valid trailer, so a test reaches
+// the structural checks behind the checksum.
+func wireStream(sections ...[]byte) []byte {
+	var b []byte
+	for _, s := range sections {
+		b = append(b, s...)
+	}
+	return appendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// emptyImage is the .gdmc image of a region-free sample with no attributes.
+func emptyImage(t *testing.T) []byte {
+	t.Helper()
+	img, err := encodeColumnarSample(gdm.NewSample("s"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
